@@ -64,7 +64,7 @@ struct QueryStats {
 
   uint64_t vr_cache_evictions = 0;   ///< visible regions dropped on epoch bump
   uint64_t split_evaluations = 0;    ///< distance-curve crossing computations
-  uint64_t lemma1_prunes = 0;        ///< RLU endpoint-dominance fast paths
+  uint64_t lemma1_prunes = 0;        ///< CPLC endpoint-dominance fast paths
   uint64_t lemma7_terminations = 0;  ///< CPLC early exits via CPLMAX
   uint64_t lemma2_terminations = 0;  ///< CONN early exits via RLMAX
 

@@ -1,6 +1,7 @@
 #include "core/cnn.h"
 
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -20,12 +21,10 @@ ConnResult CnnQuery(const rtree::RStarTree& data_tree, const geom::Segment& q,
   QueryStats stats;
   internal::PagerDelta data_io(data_tree.pager());
 
-  ConnResult result;
+  CoknnResult result;
   result.query = q;
   const geom::SegmentFrame frame(q);
-  const geom::IntervalSet reachable{geom::Interval(0.0, q.Length())};
-
-  ResultList rl(reachable);
+  KnnResultList rl(geom::IntervalSet{geom::Interval(0.0, q.Length())}, 1);
   rtree::BestFirstIterator points(data_tree, q);
   rtree::DataObject obj;
   double dist = 0.0;
@@ -43,19 +42,16 @@ ConnResult CnnQuery(const rtree::RStarTree& data_tree, const geom::Segment& q,
     // Obstacle-free space: p is its own control point over all of q.
     ControlPointList cpl = {CplEntry{true, obj.AsPoint(), 0.0,
                                      geom::Interval(0.0, q.Length())}};
-    rl.Update(static_cast<int64_t>(obj.id), cpl, frame, opts, &stats);
+    rl.Update(static_cast<int64_t>(obj.id), cpl, frame, &stats);
   }
-  for (const RlEntry& e : rl.entries()) {
-    result.tuples.push_back(
-        ConnTuple{e.pid, e.cp, e.offset, e.range});
-  }
+  result.tuples = rl.tuples();
 
   stats.data_page_reads = data_io.faults();
   stats.buffer_hits = data_io.hits();
   internal::AddPrefetchStats(data_io, &stats);
   stats.cpu_seconds = timer.ElapsedSeconds();
   result.stats = stats;
-  return result;
+  return ConnView(std::move(result));
 }
 
 }  // namespace core

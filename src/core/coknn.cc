@@ -251,12 +251,46 @@ double CoknnResult::OdistAt(double t, size_t j) const {
 namespace {
 
 /// Differential-repair wiring for one RunCoknn invocation: the carried
-/// workspace's settlement log (null = repair off, the PR 8 path) and the
-/// owner tag its published capsule carries.
+/// workspace's settlement log (null = repair off) and the owner tag its
+/// published capsule carries.
 struct RepairHooks {
   vis::SettlementLog* log = nullptr;
   int64_t client_tag = -1;
 };
+
+/// Stationary-segment memo guard: the prior answer is reusable only for
+/// the bit-identical (segment, k) query, under the warm-start gate.
+bool TickMemoApplies(const TickWarmStart& warm, const geom::Segment& q,
+                     size_t k, const ConnOptions& opts) {
+  return opts.use_tick_warm_start && warm.prior != nullptr &&
+         warm.prior->query == q && warm.prior->k == k;
+}
+
+/// Re-reports \p prior as this tick's answer.  Stats are reset to the work
+/// this tick actually did (a copy): only the warm-start marker and the
+/// copy's wall time survive — retrieval counters of the original run must
+/// not be double-counted into workload aggregates.
+CoknnResult TickMemoResult(const CoknnResult& prior) {
+  Timer timer;
+  CoknnResult result = prior;
+  result.stats = QueryStats{};
+  result.stats.tick_warm_starts = 1;
+  result.stats.cpu_seconds = timer.ElapsedSeconds();
+  return result;
+}
+
+/// Repair requires a carried workspace (its settlement log is the carried
+/// coverage) under the warm-start gate, and only workspaces *built* for
+/// repair qualify — a short-lived per-query fallback graph has an empty
+/// log and gains nothing.
+RepairHooks RepairFor(const ConnOptions& opts, QueryWorkspace* workspace,
+                      const TickWarmStart& warm) {
+  const bool applies = opts.use_differential_repair &&
+                       opts.use_tick_warm_start && workspace != nullptr &&
+                       workspace->differential_repair();
+  if (!applies) return {};
+  return {workspace->settlement_log(), warm.client_tag};
+}
 
 /// Shared main loop for both tree configurations.
 template <typename NextPointFn>
@@ -264,17 +298,10 @@ CoknnResult RunCoknn(const geom::Segment& q, size_t k,
                      const geom::IntervalSet& blocked, vis::VisGraph* vg,
                      vis::ScanArena* arena, ObstacleSource* obstacle_source,
                      NextPointFn&& next_point, const ConnOptions& opts,
-                     QueryStats* stats, const RepairHooks& repair = {}) {
+                     QueryStats* stats, const RepairHooks& repair) {
   CoknnResult result;
   result.query = q;
   result.k = k;
-
-  const geom::SegmentFrame frame(q);
-  const geom::IntervalSet reachable =
-      internal::ReachablePieces(blocked, q.Length(), &result.unreachable);
-  vis::QuerySession session(vg);
-  const std::vector<vis::VertexId> targets =
-      internal::AddTargetVertices(&session, reachable, q);
 
   // Repair mode: retrieval waves already proven covered by the workspace's
   // settlement log skip the obstacle stream (the guard answers "nothing
@@ -286,43 +313,89 @@ CoknnResult RunCoknn(const geom::Segment& q, size_t k,
                             : obstacle_source;
   if (repair.log != nullptr) stats->repairs_applied = 1;
 
-  KnnResultList rl(reachable, k);
-  VisibleRegionCache vr_cache;
-  double retrieved = 0.0;
-  rtree::DataObject obj;
-  double dist = 0.0;
-  while (true) {
-    const double bound = opts.use_rlmax_terminate ? rl.RlMax(frame) : kInf;
-    const StreamOutcome outcome = next_point(bound, &obj, &dist);
-    if (outcome != StreamOutcome::kYielded) {
-      // Lemma 2 gets credit only when RLMAX pruned points that remained;
-      // an exhausted iterator stopping the loop is not a pruning win.
-      if (outcome == StreamOutcome::kBoundReached) {
-        ++stats->lemma2_terminations;
-      }
-      break;
+  const bool point_query = q.Length() <= 0.0;
+  const geom::SegmentFrame frame(q);
+  vis::QuerySession session(vg);
+  std::vector<vis::VertexId> targets;
+  geom::IntervalSet reachable;
+  if (point_query) {
+    // p strictly inside an obstacle reaches nothing (blocked = {[0, 0]}).
+    result.unreachable = blocked;
+    if (blocked.IsEmpty()) {
+      targets.push_back(session.AddFixedVertex(q.a));
+      result.tuples.push_back(CoknnTuple{geom::Interval(0.0, 0.0), {}});
     }
-    ++stats->points_evaluated;
-    const geom::Vec2 p = obj.AsPoint();
-    std::unique_ptr<vis::DijkstraScan> scan;
+  } else {
+    reachable =
+        internal::ReachablePieces(blocked, q.Length(), &result.unreachable);
+    targets = internal::AddTargetVertices(&session, reachable, q);
+  }
+
+  double retrieved = 0.0;
+  // IOR for one data point; in repair mode also classifies the point as
+  // carried or re-scored at retrieval granularity: a point whose whole
+  // search range was served by carried coverage (or by earlier waves of
+  // this query) never touched the tree; a boundary point streamed.
+  auto retrieve = [&](geom::Vec2 p,
+                      std::unique_ptr<vis::DijkstraScan>* scan) {
     const uint64_t yields_before = guarded.yields();
-    IncrementalObstacleRetrieval(source, vg, targets, p, &retrieved, stats,
-                                 &scan, arena, opts.use_warm_scan_restarts);
+    const double od =
+        IncrementalObstacleRetrieval(source, vg, targets, p, &retrieved,
+                                     stats, scan, arena,
+                                     opts.use_warm_scan_restarts);
     if (repair.log != nullptr) {
-      // Carried vs re-scored at retrieval granularity: a point whose whole
-      // search range was served by carried coverage (or by earlier waves
-      // of this query) never touched the tree; a boundary point streamed.
       if (guarded.yields() != yields_before) {
         ++stats->tuples_rescored;
       } else {
         ++stats->tuples_carried;
       }
     }
-    const ControlPointList cpl = ComputeControlPointList(
-        vg, scan.get(), p, frame, reachable, opts, stats, &vr_cache);
-    rl.Update(static_cast<int64_t>(obj.id), cpl, frame, stats);
+    return od;
+  };
+  // Pops the next data point within \p bound.  Lemma 2 gets credit only
+  // when the bound pruned points that remained; an exhausted iterator
+  // stopping the loop is not a pruning win.
+  rtree::DataObject obj;
+  double dist = 0.0;
+  auto pop_point = [&](double bound) {
+    const StreamOutcome outcome =
+        next_point(opts.use_rlmax_terminate ? bound : kInf, &obj, &dist);
+    if (outcome == StreamOutcome::kBoundReached) ++stats->lemma2_terminations;
+    if (outcome != StreamOutcome::kYielded) return false;
+    ++stats->points_evaluated;
+    return true;
+  };
+
+  if (!point_query) {
+    KnnResultList rl(reachable, k);
+    VisibleRegionCache vr_cache;
+    while (pop_point(rl.RlMax(frame))) {
+      const geom::Vec2 p = obj.AsPoint();
+      std::unique_ptr<vis::DijkstraScan> scan;
+      retrieve(p, &scan);
+      const ControlPointList cpl = ComputeControlPointList(
+          vg, scan.get(), p, frame, reachable, opts, stats, &vr_cache);
+      rl.Update(static_cast<int64_t>(obj.id), cpl, frame, stats);
+    }
+    stats->vr_cache_evictions += vr_cache.evictions();
+    result.tuples = rl.tuples();
+  } else if (!result.tuples.empty()) {
+    // k-ONN point lookup: candidates stay sorted by obstructed distance
+    // (a tie keeps the point found first), and the k-th distance bounds
+    // the stream the way RLMAX bounds the segment loop.
+    std::vector<KnnCandidate>& best = result.tuples.front().candidates;
+    while (pop_point(best.size() < k ? kInf : best.back().offset)) {
+      const double od = retrieve(obj.AsPoint(), nullptr);
+      const auto pos = std::upper_bound(
+          best.begin(), best.end(), od,
+          [](double d, const KnnCandidate& c) { return d < c.offset; });
+      if (od == kInf || static_cast<size_t>(pos - best.begin()) >= k) {
+        continue;
+      }
+      best.insert(pos, KnnCandidate{static_cast<int64_t>(obj.id), q.a, od});
+      if (best.size() > k) best.pop_back();
+    }
   }
-  stats->vr_cache_evictions += vr_cache.evictions();
   // Publish this query's proven coverage: after the loop, every obstacle
   // with mindist(o, q) <= retrieved is in the graph (streamed waves by the
   // ascending source, covered waves by their proving capsule).  The next
@@ -330,16 +403,17 @@ CoknnResult RunCoknn(const geom::Segment& q, size_t k,
   if (repair.log != nullptr) {
     repair.log->Publish(q, retrieved, repair.client_tag);
   }
-  result.tuples = rl.tuples();
   return result;
 }
 
-/// Two-tree body shared by CoknnQuery (no hooks) and CoknnRepair.
-CoknnResult CoknnQueryImpl(const rtree::RStarTree& data_tree,
-                           const rtree::RStarTree& obstacle_tree,
-                           const geom::Segment& q, size_t k,
-                           const ConnOptions& opts, QueryWorkspace* workspace,
-                           const RepairHooks& repair) {
+}  // namespace
+
+CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
+                       const rtree::RStarTree& obstacle_tree,
+                       const geom::Segment& q, size_t k,
+                       const ConnOptions& opts, QueryWorkspace* workspace,
+                       const TickWarmStart& warm) {
+  if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
   Timer timer;
   QueryStats stats;
   internal::PagerDelta data_io(data_tree.pager());
@@ -368,7 +442,7 @@ CoknnResult CoknnQueryImpl(const rtree::RStarTree& data_tree,
 
   CoknnResult result =
       RunCoknn(q, k, blocked, vg, graph.arena(), &obstacle_source, next_point,
-               opts, &stats, repair);
+               opts, &stats, RepairFor(opts, workspace, warm));
 
   stats.vis_graph_vertices = vg->VertexCount();
   stats.data_page_reads = data_io.faults();
@@ -381,12 +455,11 @@ CoknnResult CoknnQueryImpl(const rtree::RStarTree& data_tree,
   return result;
 }
 
-/// Unified-tree body shared by CoknnQuery1T (no hooks) and CoknnRepair1T.
-CoknnResult CoknnQuery1TImpl(const rtree::RStarTree& unified_tree,
-                             const geom::Segment& q, size_t k,
-                             const ConnOptions& opts,
-                             QueryWorkspace* workspace,
-                             const RepairHooks& repair) {
+CoknnResult CoknnQuery1T(const rtree::RStarTree& unified_tree,
+                         const geom::Segment& q, size_t k,
+                         const ConnOptions& opts, QueryWorkspace* workspace,
+                         const TickWarmStart& warm) {
+  if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
   Timer timer;
   QueryStats stats;
   internal::PagerDelta io(unified_tree.pager());
@@ -401,112 +474,17 @@ CoknnResult CoknnQuery1TImpl(const rtree::RStarTree& unified_tree,
     return stream.NextPointWithin(bound, out, dist);
   };
 
-  CoknnResult result = RunCoknn(q, k, blocked, vg, graph.arena(), &stream,
-                                next_point, opts, &stats, repair);
+  CoknnResult result =
+      RunCoknn(q, k, blocked, vg, graph.arena(), &stream, next_point, opts,
+               &stats, RepairFor(opts, workspace, warm));
 
   stats.vis_graph_vertices = vg->VertexCount();
-  stats.data_page_reads = io.faults();
+  stats.data_page_reads = io.faults();  // single tree: all I/O charged here
   stats.buffer_hits = io.hits();
   internal::AddPrefetchStats(io, &stats);
   stats.cpu_seconds = timer.ElapsedSeconds();
   result.stats = stats;
   return result;
-}
-
-}  // namespace
-
-CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
-                       const rtree::RStarTree& obstacle_tree,
-                       const geom::Segment& q, size_t k,
-                       const ConnOptions& opts, QueryWorkspace* workspace) {
-  return CoknnQueryImpl(data_tree, obstacle_tree, q, k, opts, workspace, {});
-}
-
-CoknnResult CoknnQuery1T(const rtree::RStarTree& unified_tree,
-                         const geom::Segment& q, size_t k,
-                         const ConnOptions& opts, QueryWorkspace* workspace) {
-  return CoknnQuery1TImpl(unified_tree, q, k, opts, workspace, {});
-}
-
-namespace {
-
-/// Stationary-segment memo guard: the prior answer is reusable only for
-/// the bit-identical (segment, k) query, under the warm-start gate.
-bool TickMemoApplies(const TickWarmStart& warm, const geom::Segment& q,
-                     size_t k, const ConnOptions& opts) {
-  return opts.use_tick_warm_start && warm.prior != nullptr &&
-         warm.prior->query == q && warm.prior->k == k;
-}
-
-/// Re-reports \p prior as this tick's answer.  Stats are reset to the work
-/// this tick actually did (a copy): only the warm-start marker and the
-/// copy's wall time survive — retrieval counters of the original run must
-/// not be double-counted into workload aggregates.
-CoknnResult TickMemoResult(const CoknnResult& prior) {
-  Timer timer;
-  CoknnResult result = prior;
-  result.stats = QueryStats{};
-  result.stats.tick_warm_starts = 1;
-  result.stats.cpu_seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-/// Repair requires a carried workspace (its settlement log is the carried
-/// coverage) under the warm-start gate; CoknnQueryTick only dispatches to
-/// the repair path for workspaces *built* for repair — a short-lived
-/// per-query fallback graph has an empty log and gains nothing.
-bool RepairApplies(const ConnOptions& opts, const QueryWorkspace* workspace) {
-  return opts.use_differential_repair && opts.use_tick_warm_start &&
-         workspace != nullptr && workspace->differential_repair();
-}
-
-}  // namespace
-
-CoknnResult CoknnRepair(const rtree::RStarTree& data_tree,
-                        const rtree::RStarTree& obstacle_tree,
-                        const geom::Segment& q, size_t k,
-                        const TickWarmStart& warm, const ConnOptions& opts,
-                        QueryWorkspace* workspace) {
-  CONN_CHECK_MSG(workspace != nullptr,
-                 "differential repair needs a carried workspace");
-  if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
-  return CoknnQueryImpl(data_tree, obstacle_tree, q, k, opts, workspace,
-                        {workspace->settlement_log(), warm.client_tag});
-}
-
-CoknnResult CoknnRepair1T(const rtree::RStarTree& unified_tree,
-                          const geom::Segment& q, size_t k,
-                          const TickWarmStart& warm, const ConnOptions& opts,
-                          QueryWorkspace* workspace) {
-  CONN_CHECK_MSG(workspace != nullptr,
-                 "differential repair needs a carried workspace");
-  if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
-  return CoknnQuery1TImpl(unified_tree, q, k, opts, workspace,
-                          {workspace->settlement_log(), warm.client_tag});
-}
-
-CoknnResult CoknnQueryTick(const rtree::RStarTree& data_tree,
-                           const rtree::RStarTree& obstacle_tree,
-                           const geom::Segment& q, size_t k,
-                           const TickWarmStart& warm, const ConnOptions& opts,
-                           QueryWorkspace* workspace) {
-  if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
-  if (RepairApplies(opts, workspace)) {
-    return CoknnRepair(data_tree, obstacle_tree, q, k, warm, opts, workspace);
-  }
-  return CoknnQuery(data_tree, obstacle_tree, q, k, opts, workspace);
-}
-
-CoknnResult CoknnQueryTick1T(const rtree::RStarTree& unified_tree,
-                             const geom::Segment& q, size_t k,
-                             const TickWarmStart& warm,
-                             const ConnOptions& opts,
-                             QueryWorkspace* workspace) {
-  if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
-  if (RepairApplies(opts, workspace)) {
-    return CoknnRepair1T(unified_tree, q, k, warm, opts, workspace);
-  }
-  return CoknnQuery1T(unified_tree, q, k, opts, workspace);
 }
 
 }  // namespace core

@@ -12,6 +12,13 @@
 // The Lemma 2 pruning bound becomes RLMAX = max_i maxodist(ONNS_i, R_i
 // endpoints), +infinity while any interval holds fewer than k candidates
 // (distance curves are convex, so endpoint values bound the interval).
+//
+// This is the only query loop of the CONN family: CONN (Algorithm 4) is
+// the k = 1 view of it (core/conn.h) and CNN runs the same result list
+// with trivial control point lists (core/cnn.h).  A zero-length segment
+// [p, p] is a k-ONN point lookup: one [0, 0] tuple holding the k nearest
+// points of p by obstructed distance, or — when p lies strictly inside an
+// obstacle — no tuple and unreachable = {[0, 0]}.
 
 #ifndef CONN_CORE_COKNN_H_
 #define CONN_CORE_COKNN_H_
@@ -22,7 +29,6 @@
 #include "common/stats.h"
 #include "core/cpl.h"
 #include "core/options.h"
-#include "core/result_list.h"
 #include "geom/interval_set.h"
 #include "geom/segment.h"
 #include "rtree/rstar_tree.h"
@@ -31,6 +37,9 @@ namespace conn {
 namespace core {
 
 class QueryWorkspace;  // core/workspace.h — reusable cross-query state
+
+/// Sentinel point id for "no obstructed nearest neighbor exists".
+inline constexpr int64_t kNoPoint = -1;
 
 /// One member of an interval's k-NN candidate set.
 struct KnnCandidate {
@@ -98,23 +107,6 @@ class KnnResultList {
   std::vector<CoknnTuple> tuples_;
 };
 
-/// COkNN with P and O in two separate R-trees.  When \p workspace is
-/// non-null, the query runs its obstacle retrieval against that shared
-/// graph (batch execution) instead of building a fresh one; results are
-/// identical, per-query I/O and graph-size statistics then describe the
-/// shared state.
-CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
-                       const rtree::RStarTree& obstacle_tree,
-                       const geom::Segment& q, size_t k,
-                       const ConnOptions& opts = {},
-                       QueryWorkspace* workspace = nullptr);
-
-/// COkNN over one unified R-tree (Section 4.5).
-CoknnResult CoknnQuery1T(const rtree::RStarTree& unified_tree,
-                         const geom::Segment& q, size_t k,
-                         const ConnOptions& opts = {},
-                         QueryWorkspace* workspace = nullptr);
-
 /// Prior-tick state a moving-query subscription client carries into its
 /// next tick.  The workspace half of warm starting (the carried obstacle
 /// graph + scan arena) is already expressed through the \p workspace
@@ -133,56 +125,40 @@ struct TickWarmStart {
   int64_t client_tag = -1;
 };
 
-/// COkNN for one tick of a moving query (two-tree configuration).  When
-/// `opts.use_tick_warm_start` is set and \p warm holds a prior result for
-/// the *identical* (segment, k) query — a client whose route paused or
-/// whose step landed on the same segment — the prior answer is re-reported
-/// without touching the trees (stats then carry `tick_warm_starts = 1` and
-/// no retrieval work).  Otherwise this is exactly CoknnQuery: reusing a
-/// cross-tick workspace is bit-identical to a fresh evaluation because the
-/// carried graph holds a superset of the query's Theorem-2 obstacle set.
-CoknnResult CoknnQueryTick(const rtree::RStarTree& data_tree,
-                           const rtree::RStarTree& obstacle_tree,
-                           const geom::Segment& q, size_t k,
-                           const TickWarmStart& warm,
-                           const ConnOptions& opts = {},
-                           QueryWorkspace* workspace = nullptr);
+/// COkNN with P and O in two separate R-trees.
+///
+/// \p workspace (optional) is a shared or carried obstacle graph + scan
+/// arena (batch shards, subscription ticks) to run against instead of a
+/// fresh one; results are identical, because the graph only ever holds a
+/// superset of the query's Theorem-2 obstacle set.  Per-query I/O and
+/// graph-size statistics then describe the shared state.
+///
+/// \p warm carries a moving client's prior tick.  Two tick paths apply
+/// under ConnOptions::use_tick_warm_start, both bit-identical to a plain
+/// evaluation:
+///   * stationary-segment memo — when warm.prior answered the identical
+///     (segment, k) query, it is re-reported without touching the trees
+///     (stats carry tick_warm_starts = 1 and no retrieval work);
+///   * differential repair — with use_differential_repair and a workspace
+///     built for repair, retrieval waves that the workspace's settlement
+///     log already covers skip the obstacle stream: data points whose
+///     search range is untouched are carried (tuples_carried), boundary
+///     points re-score through the stream (tuples_rescored), and the
+///     query's final search range is published back to the log so shard
+///     siblings repair off it (frontier_shares, tagged warm.client_tag).
+CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
+                       const rtree::RStarTree& obstacle_tree,
+                       const geom::Segment& q, size_t k,
+                       const ConnOptions& opts = {},
+                       QueryWorkspace* workspace = nullptr,
+                       const TickWarmStart& warm = {});
 
-/// Tick entry point for the unified-tree configuration (see CoknnQueryTick).
-CoknnResult CoknnQueryTick1T(const rtree::RStarTree& unified_tree,
-                             const geom::Segment& q, size_t k,
-                             const TickWarmStart& warm,
-                             const ConnOptions& opts = {},
-                             QueryWorkspace* workspace = nullptr);
-
-/// Differential tick repair (two-tree configuration): CoknnQueryTick run
-/// as a repair against \p workspace's carried state instead of a fresh
-/// evaluation.  Tick-t's Theorem-2 search ranges are diffed against the
-/// coverage the workspace's settlement log already proves: data points
-/// whose range is untouched by the segment advance are carried without
-/// contacting the obstacle tree (tuples_carried), only boundary points
-/// whose range escapes coverage re-score through the stream
-/// (tuples_rescored), with obstacle waves absorbed by
-/// DijkstraScan::Revalidate warm restarts on the carried graph.  The
-/// query's own final search range is published back to the log, so
-/// clustered clients sharing the shard workspace repair off each other's
-/// frontiers (frontier_shares).  Results are bit-identical to CoknnQuery:
-/// the graph holds a superset of every wave's Theorem-2 obstacle set
-/// whether the wave streamed or was covered.  CoknnQueryTick dispatches
-/// here when ConnOptions::use_differential_repair is set (with
-/// use_tick_warm_start) and a workspace is supplied.
-CoknnResult CoknnRepair(const rtree::RStarTree& data_tree,
-                        const rtree::RStarTree& obstacle_tree,
-                        const geom::Segment& q, size_t k,
-                        const TickWarmStart& warm, const ConnOptions& opts,
-                        QueryWorkspace* workspace);
-
-/// Differential tick repair for the unified-tree configuration (see
-/// CoknnRepair).
-CoknnResult CoknnRepair1T(const rtree::RStarTree& unified_tree,
-                          const geom::Segment& q, size_t k,
-                          const TickWarmStart& warm, const ConnOptions& opts,
-                          QueryWorkspace* workspace);
+/// COkNN over one unified R-tree (Section 4.5); see CoknnQuery.
+CoknnResult CoknnQuery1T(const rtree::RStarTree& unified_tree,
+                         const geom::Segment& q, size_t k,
+                         const ConnOptions& opts = {},
+                         QueryWorkspace* workspace = nullptr,
+                         const TickWarmStart& warm = {});
 
 }  // namespace core
 }  // namespace conn

@@ -1,80 +1,33 @@
 #include "core/conn.h"
 
-#include <algorithm>
+#include <cmath>
 #include <limits>
-
-#include "common/check.h"
-#include "common/timer.h"
-#include "core/cpl.h"
-#include "core/engine_internal.h"
-#include "core/odist.h"
-#include "core/workspace.h"
-#include "rtree/best_first.h"
-#include "vis/dijkstra.h"
+#include <utility>
 
 namespace conn {
 namespace core {
 
 namespace {
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
+}  // namespace
 
-/// Converts the final ResultList into public tuples.
-void ExportTuples(const ResultList& rl, ConnResult* result) {
-  for (const RlEntry& e : rl.entries()) {
-    ConnTuple t;
-    t.point_id = e.pid;
-    t.control_point = e.cp;
-    t.offset = e.offset;
-    t.range = e.range;
-    result->tuples.push_back(t);
-  }
-}
-
-/// Degenerate zero-length query: a single ONN point lookup expressed with
-/// the same IOR machinery (no interval computation involved).
-ConnResult DegenerateConn(const rtree::RStarTree& data_tree,
-                          ObstacleSource* obstacle_source,
-                          vis::VisGraph* vg, vis::ScanArena* arena,
-                          const geom::Segment& q, const ConnOptions& opts,
-                          QueryStats* stats) {
+ConnResult ConnView(CoknnResult k1) {
   ConnResult result;
-  result.query = q;
-
-  vis::QuerySession session(vg);
-  const vis::VertexId target = session.AddFixedVertex(q.a);
-  double retrieved = 0.0;
-  double best = kInf;
-  int64_t best_pid = kNoPoint;
-
-  rtree::BestFirstIterator points(data_tree, q);
-  rtree::DataObject obj;
-  double dist = 0.0;
-  while (points.PeekDist() < best) {
-    CONN_CHECK(points.Next(&obj, &dist));
-    // In the 1-tree configuration the same tree also yields obstacles.
-    if (obj.kind != rtree::ObjectKind::kPoint) continue;
-    ++stats->points_evaluated;
-    const double od = IncrementalObstacleRetrieval(
-        obstacle_source, vg, {target}, obj.AsPoint(), &retrieved, stats,
-        /*out_scan=*/nullptr, arena, opts.use_warm_scan_restarts);
-    if (od < best) {
-      best = od;
-      best_pid = obj.id;
+  result.query = k1.query;
+  result.unreachable = std::move(k1.unreachable);
+  result.stats = k1.stats;
+  for (const CoknnTuple& t : k1.tuples) {
+    ConnTuple tuple;
+    tuple.range = t.range;
+    if (!t.candidates.empty()) {
+      tuple.point_id = t.candidates.front().pid;
+      tuple.control_point = t.candidates.front().cp;
+      tuple.offset = t.candidates.front().offset;
     }
-  }
-  if (best_pid != kNoPoint) {
-    ConnTuple t;
-    t.point_id = best_pid;
-    t.control_point = q.a;  // trivially: the query point itself
-    t.offset = best;
-    t.range = geom::Interval(0.0, 0.0);
-    result.tuples.push_back(t);
+    result.tuples.push_back(tuple);
   }
   return result;
 }
-
-}  // namespace
 
 double ConnResult::OdistAt(double t) const {
   const geom::SegmentFrame frame(query);
@@ -127,142 +80,13 @@ ConnResult ConnQuery(const rtree::RStarTree& data_tree,
                      const rtree::RStarTree& obstacle_tree,
                      const geom::Segment& q, const ConnOptions& opts,
                      QueryWorkspace* workspace) {
-  Timer timer;
-  QueryStats stats;
-  internal::PagerDelta data_io(data_tree.pager());
-  internal::PagerDelta obstacle_io(obstacle_tree.pager());
-
-  internal::ScopedQueryGraph graph(workspace, &data_tree, &obstacle_tree, q,
-                                   &stats);
-  vis::VisGraph* vg = graph.get();
-  TreeObstacleSource obstacle_source(obstacle_tree, q);
-
-  ConnResult result;
-  if (q.Length() <= 0.0) {
-    result = DegenerateConn(data_tree, &obstacle_source, vg, graph.arena(), q,
-                            opts, &stats);
-  } else {
-    result.query = q;
-    const geom::SegmentFrame frame(q);
-    const geom::IntervalSet blocked =
-        internal::BlockedIntervals(obstacle_tree, q);
-    const geom::IntervalSet reachable =
-        internal::ReachablePieces(blocked, q.Length(), &result.unreachable);
-
-    vis::QuerySession session(vg);
-    const std::vector<vis::VertexId> targets =
-        internal::AddTargetVertices(&session, reachable, q);
-
-    ResultList rl(reachable);
-    rtree::BestFirstIterator points(data_tree, q);
-    VisibleRegionCache vr_cache;
-    double retrieved = 0.0;
-    rtree::DataObject obj;
-    double dist = 0.0;
-    while (true) {
-      const double peek = points.PeekDist();
-      if (peek == kInf) break;
-      if (opts.use_rlmax_terminate && peek > rl.RlMax(frame)) {
-        ++stats.lemma2_terminations;  // Lemma 2: no remaining point matters
-        break;
-      }
-      CONN_CHECK(points.Next(&obj, &dist));
-      CONN_CHECK_MSG(obj.kind == rtree::ObjectKind::kPoint,
-                     "data tree contains a non-point entry");
-      ++stats.points_evaluated;
-      const geom::Vec2 p = obj.AsPoint();
-      std::unique_ptr<vis::DijkstraScan> scan;
-      IncrementalObstacleRetrieval(&obstacle_source, vg, targets, p,
-                                   &retrieved, &stats, &scan, graph.arena(),
-                                   opts.use_warm_scan_restarts);
-      const ControlPointList cpl = ComputeControlPointList(
-          vg, scan.get(), p, frame, reachable, opts, &stats, &vr_cache);
-      rl.Update(static_cast<int64_t>(obj.id), cpl, frame, opts, &stats);
-    }
-    stats.vr_cache_evictions += vr_cache.evictions();
-    ExportTuples(rl, &result);
-  }
-
-  stats.vis_graph_vertices = vg->VertexCount();
-  stats.data_page_reads = data_io.faults();
-  stats.obstacle_page_reads = obstacle_io.faults();
-  stats.buffer_hits = data_io.hits() + obstacle_io.hits();
-  internal::AddPrefetchStats(data_io, &stats);
-  internal::AddPrefetchStats(obstacle_io, &stats);
-  stats.cpu_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  return result;
+  return ConnView(CoknnQuery(data_tree, obstacle_tree, q, 1, opts, workspace));
 }
 
 ConnResult ConnQuery1T(const rtree::RStarTree& unified_tree,
                        const geom::Segment& q, const ConnOptions& opts,
                        QueryWorkspace* workspace) {
-  Timer timer;
-  QueryStats stats;
-  internal::PagerDelta io(unified_tree.pager());
-
-  internal::ScopedQueryGraph graph(workspace, &unified_tree, nullptr, q,
-                                   &stats);
-  vis::VisGraph* vg = graph.get();
-  UnifiedStream stream(unified_tree, q, vg);
-
-  ConnResult result;
-  if (q.Length() <= 0.0) {
-    // For the degenerate case the unified stream acts as the obstacle
-    // source; points it buffers are re-found by the dedicated iterator.
-    result = DegenerateConn(unified_tree, &stream, vg, graph.arena(), q, opts,
-                            &stats);
-  } else {
-    result.query = q;
-    const geom::SegmentFrame frame(q);
-    const geom::IntervalSet blocked =
-        internal::BlockedIntervals(unified_tree, q);
-    const geom::IntervalSet reachable =
-        internal::ReachablePieces(blocked, q.Length(), &result.unreachable);
-
-    vis::QuerySession session(vg);
-    const std::vector<vis::VertexId> targets =
-        internal::AddTargetVertices(&session, reachable, q);
-
-    ResultList rl(reachable);
-    VisibleRegionCache vr_cache;
-    double retrieved = 0.0;
-    rtree::DataObject obj;
-    double dist = 0.0;
-    while (true) {
-      const double bound =
-          opts.use_rlmax_terminate ? rl.RlMax(frame) : kInf;
-      const StreamOutcome outcome = stream.NextPointWithin(bound, &obj, &dist);
-      if (outcome != StreamOutcome::kYielded) {
-        // Count Lemma 2 only when points beyond RLMAX remain — a drained
-        // stream stopping the loop is exhaustion, not pruning.
-        if (outcome == StreamOutcome::kBoundReached) {
-          ++stats.lemma2_terminations;
-        }
-        break;
-      }
-      ++stats.points_evaluated;
-      retrieved = std::max(retrieved, stream.retrieved_up_to());
-      const geom::Vec2 p = obj.AsPoint();
-      std::unique_ptr<vis::DijkstraScan> scan;
-      IncrementalObstacleRetrieval(&stream, vg, targets, p, &retrieved,
-                                   &stats, &scan, graph.arena(),
-                                   opts.use_warm_scan_restarts);
-      const ControlPointList cpl = ComputeControlPointList(
-          vg, scan.get(), p, frame, reachable, opts, &stats, &vr_cache);
-      rl.Update(static_cast<int64_t>(obj.id), cpl, frame, opts, &stats);
-    }
-    stats.vr_cache_evictions += vr_cache.evictions();
-    ExportTuples(rl, &result);
-  }
-
-  stats.vis_graph_vertices = vg->VertexCount();
-  stats.data_page_reads = io.faults();  // single tree: all I/O charged here
-  stats.buffer_hits = io.hits();
-  internal::AddPrefetchStats(io, &stats);
-  stats.cpu_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  return result;
+  return ConnView(CoknnQuery1T(unified_tree, q, 1, opts, workspace));
 }
 
 }  // namespace core

@@ -1,15 +1,17 @@
-// CONN query processing — Algorithm 4 of the paper.
+// CONN query processing — Algorithm 4 of the paper — as the k = 1 view of
+// COkNN (Section 4.5, core/coknn.h).
 //
 // Given a data R-tree Tp, an obstacle R-tree To (or one unified tree,
 // Section 4.5) and a query segment q, returns the exact obstructed nearest
 // neighbor of every point of q as a list of <point, control point,
-// interval> tuples.  Data points are consumed in ascending mindist(p, q)
-// order (best-first browsing); each one runs IOR (obstacle completion),
-// CPLC (control point list) and RLU (result merge); the loop stops at the
-// Lemma 2 bound RLMAX.
+// interval> tuples.  The COkNN engine at k = 1 is exactly Algorithm 4:
+// data points arrive in ascending mindist(p, q) order, each runs IOR,
+// CPLC and the result-list update, and the loop stops at the Lemma 2
+// bound RLMAX.  ConnQuery only maps its one-candidate tuples to ConnTuple.
 //
 // Degenerate and adversarial inputs are first-class:
-//   * zero-length q degrades to an ONN point query;
+//   * zero-length q is an ONN point query: one [0, 0] tuple, or no tuple
+//     and unreachable = {[0, 0]} when q lies strictly inside an obstacle;
 //   * parts of q inside obstacle interiors are detected up front, reported
 //     in ConnResult::unreachable, and excluded from the RLMAX bound;
 //   * data points unreachable from q (walled off) never become ONN; if
@@ -23,15 +25,13 @@
 
 #include "common/stats.h"
 #include "core/options.h"
-#include "core/result_list.h"
+#include "core/coknn.h"
 #include "geom/interval_set.h"
 #include "geom/segment.h"
 #include "rtree/rstar_tree.h"
 
 namespace conn {
 namespace core {
-
-class QueryWorkspace;  // core/workspace.h — reusable cross-query state
 
 /// One tuple of the final CONN result.
 struct ConnTuple {
@@ -62,15 +62,20 @@ struct ConnResult {
   std::vector<double> SplitParams() const;
 };
 
-/// CONN with P and O in two separate R-trees (the paper's default).  A
-/// non-null \p workspace (batch execution) makes the query reuse that
-/// shared obstacle graph instead of building its own.
+/// The k = 1 view of a COkNN answer: each tuple's single candidate (or
+/// kNoPoint where the candidate set is empty).
+ConnResult ConnView(CoknnResult k1);
+
+/// CONN with P and O in two separate R-trees (the paper's default):
+/// CoknnQuery at k = 1.  A non-null \p workspace (batch execution) makes
+/// the query reuse that shared obstacle graph instead of building its own.
 ConnResult ConnQuery(const rtree::RStarTree& data_tree,
                      const rtree::RStarTree& obstacle_tree,
                      const geom::Segment& q, const ConnOptions& opts = {},
                      QueryWorkspace* workspace = nullptr);
 
-/// CONN with both sets in one unified R-tree (Section 4.5).
+/// CONN with both sets in one unified R-tree (Section 4.5): CoknnQuery1T
+/// at k = 1.
 ConnResult ConnQuery1T(const rtree::RStarTree& unified_tree,
                        const geom::Segment& q, const ConnOptions& opts = {},
                        QueryWorkspace* workspace = nullptr);

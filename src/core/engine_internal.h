@@ -1,5 +1,5 @@
-// Shared plumbing of the CONN-family query engines (conn.cc, coknn.cc,
-// onn.cc, cnn.cc).  Internal header — not part of the public API.
+// Shared plumbing of the CONN-family query engines (coknn.cc, onn.cc,
+// cnn.cc).  Internal header — not part of the public API.
 
 #ifndef CONN_CORE_ENGINE_INTERNAL_H_
 #define CONN_CORE_ENGINE_INTERNAL_H_
@@ -59,6 +59,9 @@ inline geom::IntervalSet BlockedIntervals(const rtree::RStarTree& tree,
     if (t1 - t0 <= 0.0) continue;
     blocked.push_back(geom::Interval(t0 * len, t1 * len));
   }
+  // A zero-length q is one point, blocked as {[0, 0]} when it lies inside
+  // an obstacle interior (normalization would drop the zero-length piece).
+  if (len <= 0.0 && !blocked.empty()) return geom::IntervalSet::Point(0.0);
   return geom::IntervalSet(std::move(blocked));
 }
 

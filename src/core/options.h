@@ -10,7 +10,7 @@ namespace core {
 
 /// Knobs for the CONN family of queries.
 struct ConnOptions {
-  /// Lemma 1 endpoint-dominance fast path inside RLU / CPLC updates.
+  /// Lemma 1 endpoint-dominance fast path inside CPLC updates.
   bool use_lemma1_prune = true;
 
   /// Lemma 6 triangle refinement of candidate control-point regions.
@@ -34,7 +34,7 @@ struct ConnOptions {
   /// Cross-tick warm starts for moving-query subscriptions: successive
   /// ticks of one client reuse the prior tick's workspace (obstacle graph
   /// + scan arena) and short-circuit ticks whose query segment did not
-  /// move (CoknnQueryTick's prior-result memo).  Results are bit-identical
+  /// move (CoknnQuery's prior-result memo).  Results are bit-identical
   /// either way — reused graphs only ever hold a *superset* of the query's
   /// Theorem-2 obstacle set, the same exactness argument as batch
   /// workspace sharing; disabling selects the fresh evaluate-every-tick
@@ -42,19 +42,16 @@ struct ConnOptions {
   bool use_tick_warm_start = true;
 
   /// Differential tick repair on top of the cross-tick warm path: carried
-  /// workspaces switch to patch-only adjacency maintenance (obstacle
-  /// insertion defers per-vertex visibility work until a scan actually
-  /// touches the vertex) and keep a per-shard settlement log of coverage
-  /// capsules — one entry per completed retrieval asserting "every
-  /// obstacle within radius r of segment s is already in this graph".  A
-  /// later query (the same client's next tick, or a clustered sibling's)
-  /// whose Theorem-2 search range a capsule covers skips the obstacle
-  /// stream entirely; only boundary points whose range escapes coverage
-  /// re-score against the tree.  Results are bit-identical either way:
-  /// scans depend only on the graph's edge *sets* at use time (the heap
-  /// tie-breaks on (dist, vertex)), and a covered wave has the same
-  /// postcondition as streaming duplicates.  Requires
-  /// use_tick_warm_start; off selects the PR 8 warm path unchanged.
+  /// workspaces keep a per-shard settlement log of coverage capsules —
+  /// one entry per completed retrieval asserting "every obstacle within
+  /// radius r of segment s is already in this graph".  A later query (the
+  /// same client's next tick, or a clustered sibling's) whose Theorem-2
+  /// search range a capsule covers skips the obstacle stream entirely;
+  /// only boundary points whose range escapes coverage re-score against
+  /// the tree.  Results are bit-identical either way: a covered wave has
+  /// the same postcondition as streaming duplicates — the graph holds a
+  /// superset of the wave's Theorem-2 obstacle set.  Requires
+  /// use_tick_warm_start; off selects the plain warm path unchanged.
   bool use_differential_repair = false;
 
   /// Resolution of the local obstacle grid (cells per side).

@@ -24,7 +24,7 @@ namespace {
 
 /// Typical spacing between neighboring obstacles in \p tree — the natural
 /// length scale of a query's obstacle neighborhood.  Zero/short queries
-/// (DegenerateConn point lookups) have no extent of their own, so the
+/// (k-ONN point lookups) have no extent of their own, so the
 /// locality guard measures their spread in units of this instead.  For the
 /// unified tree (1-tree mode) size() also counts data points, so the value
 /// underestimates the true spacing — the guard then errs toward *not*
@@ -270,22 +270,13 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
             query_ws->graph(), ExpandedBy(q.segment.Bounds(), extent_floor));
         ws = &*query_ws;
       }
-      QueryStats* out_stats = nullptr;
-      if (q.kind == BatchQuery::Kind::kConn) {
-        out.conn = obstacles_ != nullptr
-                       ? core::ConnQuery(*data_, *obstacles_, q.segment,
-                                         opts_.query, ws)
-                       : core::ConnQuery1T(*data_, q.segment, opts_.query, ws);
-        out_stats = &out.conn->stats;
-      } else {
-        const core::TickWarmStart warm{q.prior, q.client_tag};
-        out.coknn = obstacles_ != nullptr
-                        ? core::CoknnQueryTick(*data_, *obstacles_, q.segment,
-                                               q.k, warm, opts_.query, ws)
-                        : core::CoknnQueryTick1T(*data_, q.segment, q.k, warm,
-                                                 opts_.query, ws);
-        out_stats = &out.coknn->stats;
-      }
+      const core::TickWarmStart warm{q.prior, q.client_tag};
+      out.coknn = obstacles_ != nullptr
+                      ? core::CoknnQuery(*data_, *obstacles_, q.segment, q.k,
+                                         opts_.query, ws, warm)
+                      : core::CoknnQuery1T(*data_, q.segment, q.k,
+                                           opts_.query, ws, warm);
+      QueryStats* out_stats = &out.coknn->stats;
       if (carried != 0) {
         // The query ran on cross-run state: mark it (unless the
         // stationary-segment memo already did) and credit its Dijkstra

@@ -1,4 +1,4 @@
-// Batched multi-query execution of CONN / COkNN workloads.
+// Batched multi-query execution of COkNN (and so CONN, k = 1) workloads.
 //
 // The paper's engine answers one query at a time; under the heavy
 // multi-user traffic the system targets, that model rebuilds a local
@@ -32,7 +32,6 @@
 
 #include "common/stats.h"
 #include "core/coknn.h"
-#include "core/conn.h"
 #include "core/options.h"
 #include "geom/segment.h"
 #include "rtree/rstar_tree.h"
@@ -42,17 +41,14 @@ namespace exec {
 
 class ObstacleStore;  // exec/obstacle_store.h — cross-shard obstacle cache
 
-/// One query of a batch.
+/// One query of a batch: a COkNN query (a CONN query is Coknn(q, 1)).
 struct BatchQuery {
-  enum class Kind { kConn, kCoknn };
-
-  Kind kind = Kind::kCoknn;
   geom::Segment segment;
-  size_t k = 1;  ///< COkNN only
+  size_t k = 1;
 
   /// Last tick's result for this query's client (tick-loop callers only;
   /// must outlive the run).  Enables the stationary-segment memo of
-  /// core::CoknnQueryTick under ConnOptions::use_tick_warm_start.
+  /// core::CoknnQuery under ConnOptions::use_tick_warm_start.
   const core::CoknnResult* prior = nullptr;
 
   /// Stable client identity for the differential-repair path (-1 =
@@ -60,16 +56,13 @@ struct BatchQuery {
   /// QueryStats::frontier_shares can tell cross-client reuse apart.
   int64_t client_tag = -1;
 
-  static BatchQuery Conn(const geom::Segment& q) {
-    return BatchQuery{Kind::kConn, q, 1};
-  }
   static BatchQuery Coknn(const geom::Segment& q, size_t k) {
-    return BatchQuery{Kind::kCoknn, q, k};
+    return BatchQuery{q, k};
   }
   static BatchQuery CoknnTick(const geom::Segment& q, size_t k,
                               const core::CoknnResult* prior,
                               int64_t client_tag = -1) {
-    return BatchQuery{Kind::kCoknn, q, k, prior, client_tag};
+    return BatchQuery{q, k, prior, client_tag};
   }
 };
 
@@ -107,10 +100,8 @@ struct BatchOptions {
   core::ConnOptions query;
 };
 
-/// Result slot for one input query (exactly one member is set, matching
-/// the query's kind).
+/// Result slot for one input query.
 struct QueryOutcome {
-  std::optional<core::ConnResult> conn;
   std::optional<core::CoknnResult> coknn;
 };
 
@@ -231,7 +222,7 @@ class BatchPlan {
   size_t adopted_pending_ = 0;
 };
 
-/// Executes batches of CONN/COkNN queries against one tree configuration.
+/// Executes batches of COkNN queries against one tree configuration.
 /// The trees must outlive the runner and must not be modified while a
 /// batch runs.  Run() is const and reentrant; RunPlan() is reentrant for
 /// distinct plans.

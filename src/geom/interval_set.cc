@@ -17,6 +17,12 @@ IntervalSet::IntervalSet(std::vector<Interval> intervals)
   Normalize();
 }
 
+IntervalSet IntervalSet::Point(double t) {
+  IntervalSet s;
+  s.intervals_.push_back(Interval(t, t));
+  return s;
+}
+
 void IntervalSet::Normalize() {
   std::erase_if(intervals_, [](const Interval& iv) {
     return iv.IsEmpty() || iv.Length() <= kEpsParam;

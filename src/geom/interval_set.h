@@ -31,6 +31,10 @@ class IntervalSet {
   /// Set from arbitrary (possibly overlapping, unsorted) intervals.
   explicit IntervalSet(std::vector<Interval> intervals);
 
+  /// The set {[t, t]}: one parameter, kept although normalization drops
+  /// zero-length pieces (the blocked part of a zero-length query segment).
+  static IntervalSet Point(double t);
+
   const std::vector<Interval>& intervals() const { return intervals_; }
   bool IsEmpty() const { return intervals_.empty(); }
   size_t size() const { return intervals_.size(); }

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/conn.h"
 #include "datagen/datasets.h"
 #include "datagen/workload.h"
 #include "exec/batch.h"
@@ -149,7 +150,9 @@ TEST_P(BatchEquivalence, ConnMatchesSingleQueryEngine) {
                                        /*num_queries=*/8);
 
   std::vector<BatchQuery> batch;
-  for (const geom::Segment& q : w.queries) batch.push_back(BatchQuery::Conn(q));
+  for (const geom::Segment& q : w.queries) {
+    batch.push_back(BatchQuery::Coknn(q, 1));  // CONN = COkNN at k = 1
+  }
 
   BatchOptions opts;
   opts.num_threads = 2;
@@ -164,8 +167,8 @@ TEST_P(BatchEquivalence, ConnMatchesSingleQueryEngine) {
     const core::ConnResult want =
         cfg.one_tree ? core::ConnQuery1T(w.unified, w.queries[i])
                      : core::ConnQuery(w.tp, w.to, w.queries[i]);
-    ASSERT_TRUE(result.outcomes[i].conn.has_value());
-    ExpectConnEqual(*result.outcomes[i].conn, want, i);
+    ASSERT_TRUE(result.outcomes[i].coknn.has_value());
+    ExpectConnEqual(core::ConnView(*result.outcomes[i].coknn), want, i);
   }
 }
 
@@ -200,7 +203,7 @@ TEST_P(BatchEquivalence, SharedAndUnsharedWorkspacesAgree) {
 }
 
 TEST(BatchLocalityGuard, ClusteredPointQueriesStillShare) {
-  // Zero-length CONN queries (DegenerateConn point lookups) have no MBR
+  // Zero-length CONN queries (k-ONN point lookups) have no MBR
   // extent of their own; the guard's obstacle-spacing floor must keep a
   // tight cluster of them on the sharing path under *default* options.
   // Hand-built scene: the lone data point sits behind a wall, so every
@@ -218,7 +221,7 @@ TEST(BatchLocalityGuard, ClusteredPointQueriesStillShare) {
   std::vector<BatchQuery> batch;
   for (int i = 0; i < 6; ++i) {
     const geom::Vec2 p{5000.0 + 10.0 * i, 5000.0 + 5.0 * i};
-    batch.push_back(BatchQuery::Conn(geom::Segment(p, p)));
+    batch.push_back(BatchQuery::Coknn(geom::Segment(p, p), 1));
   }
 
   const BatchRunner runner(tp, to, BatchOptions{});
@@ -227,8 +230,8 @@ TEST(BatchLocalityGuard, ClusteredPointQueriesStillShare) {
       << "the locality guard disabled sharing for a tight point cluster";
   for (size_t i = 0; i < batch.size(); ++i) {
     const core::ConnResult want = core::ConnQuery(tp, to, batch[i].segment);
-    ASSERT_TRUE(result.outcomes[i].conn.has_value());
-    ExpectConnEqual(*result.outcomes[i].conn, want, i);
+    ASSERT_TRUE(result.outcomes[i].coknn.has_value());
+    ExpectConnEqual(core::ConnView(*result.outcomes[i].coknn), want, i);
   }
 }
 

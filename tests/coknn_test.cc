@@ -1,5 +1,5 @@
-// Tests for COkNN (Section 4.5): k=1 equivalence with CONN, candidate-set
-// semantics, and a full property sweep against brute-force k-ONN sampling.
+// Tests for COkNN (Section 4.5): candidate-set semantics and a full
+// property sweep against brute-force k-ONN sampling.
 
 #include <algorithm>
 #include <cmath>
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "core/coknn.h"
-#include "core/conn.h"
 #include "core/naive.h"
 #include "test_util.h"
 
@@ -61,71 +60,6 @@ TEST(CoknnTest, KeepsBothCandidatesWithoutSplitWhenKIs2) {
 }
 
 class CoknnEquivalence : public ::testing::TestWithParam<uint64_t> {};
-
-// CONN is COkNN at k = 1: the two engines must agree exactly — every tuple
-// (point, control point, offset, range bounds), the unreachable set, and
-// every retrieval/traversal counter — in both tree configurations.  Only
-// the result-list bookkeeping counters (split_evaluations, lemma1_prunes)
-// differ by design: RLU and the k-NN list split intervals differently.
-void ExpectKOneEqualsConn(const ConnResult& conn, const CoknnResult& k1) {
-  ASSERT_EQ(conn.tuples.size(), k1.tuples.size());
-  for (size_t i = 0; i < conn.tuples.size(); ++i) {
-    const ConnTuple& a = conn.tuples[i];
-    const CoknnTuple& b = k1.tuples[i];
-    EXPECT_EQ(a.range.lo, b.range.lo) << "tuple " << i;
-    EXPECT_EQ(a.range.hi, b.range.hi) << "tuple " << i;
-    if (b.candidates.empty()) {
-      EXPECT_EQ(a.point_id, kNoPoint) << "tuple " << i;
-      continue;
-    }
-    ASSERT_EQ(b.candidates.size(), 1u) << "tuple " << i;
-    EXPECT_EQ(a.point_id, b.candidates[0].pid) << "tuple " << i;
-    EXPECT_EQ(a.control_point, b.candidates[0].cp) << "tuple " << i;
-    EXPECT_EQ(a.offset, b.candidates[0].offset) << "tuple " << i;
-  }
-  ASSERT_EQ(conn.unreachable.intervals().size(),
-            k1.unreachable.intervals().size());
-  for (size_t i = 0; i < conn.unreachable.intervals().size(); ++i) {
-    EXPECT_EQ(conn.unreachable.intervals()[i].lo,
-              k1.unreachable.intervals()[i].lo);
-    EXPECT_EQ(conn.unreachable.intervals()[i].hi,
-              k1.unreachable.intervals()[i].hi);
-  }
-  const QueryStats& x = conn.stats;
-  const QueryStats& y = k1.stats;
-  EXPECT_EQ(x.points_evaluated, y.points_evaluated);
-  EXPECT_EQ(x.obstacles_evaluated, y.obstacles_evaluated);
-  EXPECT_EQ(x.vis_graph_vertices, y.vis_graph_vertices);
-  EXPECT_EQ(x.data_page_reads, y.data_page_reads);
-  EXPECT_EQ(x.obstacle_page_reads, y.obstacle_page_reads);
-  EXPECT_EQ(x.buffer_hits, y.buffer_hits);
-  EXPECT_EQ(x.dijkstra_runs, y.dijkstra_runs);
-  EXPECT_EQ(x.dijkstra_settled, y.dijkstra_settled);
-  EXPECT_EQ(x.visibility_tests, y.visibility_tests);
-  EXPECT_EQ(x.seed_tests, y.seed_tests);
-  EXPECT_EQ(x.scan_warm_restarts, y.scan_warm_restarts);
-  EXPECT_EQ(x.vr_cache_evictions, y.vr_cache_evictions);
-  EXPECT_EQ(x.lemma7_terminations, y.lemma7_terminations);
-  EXPECT_EQ(x.lemma2_terminations, y.lemma2_terminations);
-}
-
-TEST_P(CoknnEquivalence, KOneEqualsConn) {
-  const testutil::Scene scene = testutil::MakeScene(GetParam(), 50, 15);
-  const rtree::RStarTree tp = testutil::MakePointTree(scene);
-  const rtree::RStarTree to = testutil::MakeObstacleTree(scene);
-  const rtree::RStarTree unified = testutil::MakeUnifiedTree(scene);
-
-  {
-    SCOPED_TRACE("2T");
-    ExpectKOneEqualsConn(ConnQuery(tp, to, scene.query),
-                         CoknnQuery(tp, to, scene.query, 1));
-  }
-  {
-    SCOPED_TRACE("1T");
-    ExpectKOneEqualsConn(ConnQuery1T(unified, scene.query),
-                         CoknnQuery1T(unified, scene.query, 1));
-  }
-}
 
 TEST_P(CoknnEquivalence, MatchesOracleKDistancesAtSamples) {
   const testutil::Scene scene =

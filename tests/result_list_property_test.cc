@@ -1,7 +1,7 @@
-// Property sweep at the ResultList level (no trees, no visibility): after
-// merging any sequence of control point lists, the result list must be the
-// pointwise minimum of all submitted distance curves — RLU is exactly a
-// lower-envelope computation (the paper's Section 3 machinery).
+// Property sweep at the result-list level (no trees, no visibility): after
+// merging any sequence of control point lists, the k = 1 KnnResultList must
+// be the pointwise minimum of all submitted distance curves — RLU is
+// exactly a lower-envelope computation (the paper's Section 3 machinery).
 
 #include <cmath>
 #include <limits>
@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/result_list.h"
+#include "core/coknn.h"
 
 namespace conn {
 namespace core {
@@ -21,12 +21,32 @@ struct Curve {
   double offset;
 };
 
+/// The k = 1 candidate's distance at \p t (+infinity where unset).
+double OdistAt(const KnnResultList& rl, double t,
+               const geom::SegmentFrame& frame) {
+  for (const CoknnTuple& tup : rl.tuples()) {
+    if (!tup.range.ContainsApprox(t)) continue;
+    if (tup.candidates.empty()) break;
+    return tup.candidates[0].Curve(frame).Eval(t);
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+/// The k = 1 candidate's id at \p t (kNoPoint where unset).
+int64_t OnnAt(const KnnResultList& rl, double t) {
+  for (const CoknnTuple& tup : rl.tuples()) {
+    if (!tup.range.ContainsApprox(t)) continue;
+    return tup.candidates.empty() ? kNoPoint : tup.candidates[0].pid;
+  }
+  return kNoPoint;
+}
+
 class ResultListEnvelope : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ResultListEnvelope, IsThePointwiseLowerEnvelope) {
   Rng rng(GetParam());
   const geom::SegmentFrame frame(geom::Segment({0, 0}, {1000, 0}));
-  ResultList rl(geom::IntervalSet{geom::Interval(0, 1000)});
+  KnnResultList rl(geom::IntervalSet{geom::Interval(0, 1000)}, 1);
 
   std::vector<Curve> curves;
   const int n = 3 + static_cast<int>(rng.UniformU64(12));
@@ -40,7 +60,7 @@ TEST_P(ResultListEnvelope, IsThePointwiseLowerEnvelope) {
     const double cut = rng.Uniform(100, 900);
     cpl.push_back(CplEntry{true, c.cp, c.offset, geom::Interval(0, cut)});
     cpl.push_back(CplEntry{true, c.cp, c.offset, geom::Interval(cut, 1000)});
-    rl.Update(c.pid, cpl, frame, {}, nullptr);
+    rl.Update(c.pid, cpl, frame, nullptr);
   }
 
   for (int i = 0; i <= 500; ++i) {
@@ -50,18 +70,18 @@ TEST_P(ResultListEnvelope, IsThePointwiseLowerEnvelope) {
       want = std::min(
           want, c.offset + geom::Dist(c.cp, frame.PointAt(t)));
     }
-    EXPECT_NEAR(rl.OdistAt(t, frame), want, 1e-6 * (1 + want))
+    EXPECT_NEAR(OdistAt(rl, t, frame), want, 1e-6 * (1 + want))
         << "seed=" << GetParam() << " t=" << t;
   }
 
   // The reported owner must achieve the envelope value (ties permitted).
   for (int i = 0; i <= 100; ++i) {
     const double t = 1000.0 * (i + 0.5) / 101.0;
-    const int64_t pid = rl.OnnAt(t);
+    const int64_t pid = OnnAt(rl, t);
     ASSERT_GE(pid, 0);
     const Curve& c = curves[pid];
     EXPECT_NEAR(c.offset + geom::Dist(c.cp, frame.PointAt(t)),
-                rl.OdistAt(t, frame), 1e-6);
+                OdistAt(rl, t, frame), 1e-6);
   }
 }
 
@@ -73,20 +93,20 @@ TEST_P(ResultListEnvelope, UpdateOrderDoesNotMatter) {
     curves.push_back(Curve{
         i, {rng.Uniform(0, 500), rng.Uniform(5, 200)}, rng.Uniform(0, 150)});
   }
-  ResultList forward(geom::IntervalSet{geom::Interval(0, 500)});
-  ResultList backward(geom::IntervalSet{geom::Interval(0, 500)});
+  KnnResultList forward(geom::IntervalSet{geom::Interval(0, 500)}, 1);
+  KnnResultList backward(geom::IntervalSet{geom::Interval(0, 500)}, 1);
   for (int i = 0; i < 8; ++i) {
     ControlPointList cpl_f = {
         CplEntry{true, curves[i].cp, curves[i].offset, geom::Interval(0, 500)}};
-    forward.Update(curves[i].pid, cpl_f, frame, {}, nullptr);
+    forward.Update(curves[i].pid, cpl_f, frame, nullptr);
     ControlPointList cpl_b = {CplEntry{true, curves[7 - i].cp,
                                        curves[7 - i].offset,
                                        geom::Interval(0, 500)}};
-    backward.Update(curves[7 - i].pid, cpl_b, frame, {}, nullptr);
+    backward.Update(curves[7 - i].pid, cpl_b, frame, nullptr);
   }
   for (int i = 0; i <= 200; ++i) {
     const double t = 500.0 * i / 200.0;
-    EXPECT_NEAR(forward.OdistAt(t, frame), backward.OdistAt(t, frame), 1e-6)
+    EXPECT_NEAR(OdistAt(forward, t, frame), OdistAt(backward, t, frame), 1e-6)
         << "t=" << t;
   }
 }

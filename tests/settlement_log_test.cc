@@ -143,8 +143,8 @@ TEST(SettlementLogProperty, CapsulesAreSoundAfterEveryRepairTick) {
     for (int client = 0; client < 2; ++client) {
       const core::TickWarmStart warm{/*prior=*/nullptr,
                                      /*client_tag=*/client + 1};
-      const core::CoknnResult got = core::CoknnRepair(
-          scene.tp, scene.to, steps[client], /*k=*/3, warm, opts, &ws);
+      const core::CoknnResult got = core::CoknnQuery(
+          scene.tp, scene.to, steps[client], /*k=*/3, opts, &ws, warm);
       carried_total += got.stats.tuples_carried;
 
       // Bit-identity against a fresh evaluation at every step.
@@ -197,9 +197,9 @@ TEST(SettlementLogProperty, CoversImpliesNoAbsentObstacleWithinBound) {
   for (int tick = 0; tick < 4; ++tick) {
     const double t = 150.0 * tick;
     const core::TickWarmStart warm{nullptr, 1};
-    core::CoknnRepair(scene.tp, scene.to,
-                      Seg(4000.0 + t, 5000.0, 4220.0 + t, 5030.0), 3, warm,
-                      opts, &ws);
+    core::CoknnQuery(scene.tp, scene.to,
+                     Seg(4000.0 + t, 5000.0, 4220.0 + t, 5030.0), 3, opts,
+                     &ws, warm);
   }
   ASSERT_GT(ws.settlement_log()->size(), 0u);
 
