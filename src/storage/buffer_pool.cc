@@ -258,26 +258,29 @@ uint32_t BufferPool::StageFrame(Shard& sh, PageId id, const Page& src) {
   return f;
 }
 
-bool BufferPool::Insert(PageId id, const Page& src, PinnedPage* out) {
-  if (capacity() == 0) return false;
+BufferPool::InsertOutcome BufferPool::Insert(PageId id, const Page& src,
+                                             PinnedPage* out) {
+  if (capacity() == 0) return InsertOutcome::kFull;
   Shard& sh = *shards_[ShardOf(id)];
   MutexLock lock(sh.mu);
   uint32_t f = kNullFrame;
+  InsertOutcome outcome = InsertOutcome::kStaged;
   auto it = sh.table.find(id);
   if (it != sh.table.end()) {
     // Another thread staged this page between our miss and now; reuse it
     // (the content is identical — pages are immutable during reads).
     f = it->second;
+    outcome = InsertOutcome::kReused;
   } else {
     f = StageFrame(sh, id, src);
-    if (f == kNullFrame) return false;
+    if (f == kNullFrame) return InsertOutcome::kFull;
     frames_[f].prefetched = (out == nullptr);
   }
   if (out != nullptr) {
     frames_[f].prefetched = false;  // demand reference
     PinInto(sh, f, id, out);
   }
-  return true;
+  return outcome;
 }
 
 void BufferPool::PutForWrite(PageId id, const Page& src) {

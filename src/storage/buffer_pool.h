@@ -191,13 +191,20 @@ class BufferPool {
   /// Pins \p id if resident; true on hit.  Takes the decoded snapshot.
   bool TryGet(PageId id, PinnedPage* out);
 
+  /// What Insert did with the page.
+  enum class InsertOutcome {
+    kStaged,  ///< copied into a newly acquired frame
+    kReused,  ///< already resident (raced in concurrently): frame reused
+    kFull,    ///< every candidate frame is pinned: nothing cached
+  };
+
   /// Stages \p src as page \p id, evicting per policy if needed.  If the
-  /// page raced in concurrently the existing frame is used.  When \p out is
-  /// non-null the frame is pinned into it; a null \p out marks the page as
-  /// readahead-staged (its first demand hit is a first reference).
-  /// Returns false (and caches nothing) when every candidate frame is
-  /// pinned.
-  bool Insert(PageId id, const Page& src, PinnedPage* out);
+  /// page raced in concurrently the existing frame is used (kReused — the
+  /// caller lost a miss race, which its accounting should treat as a hit).
+  /// When \p out is non-null the frame is pinned into it; a null \p out
+  /// marks the page as readahead-staged (its first demand hit is a first
+  /// reference).
+  InsertOutcome Insert(PageId id, const Page& src, PinnedPage* out);
 
   /// Write-through hook: refreshes or inserts \p id's cached bytes and
   /// drops any decoded object (the page content changed).  Mirrors the

@@ -73,8 +73,15 @@ StatusOr<PinnedPage> Pager::SyncFetch(PageId id) {
 
   const Page* src = nullptr;
   CONN_RETURN_IF_ERROR(file_.View(id, &src));
+  const BufferPool::InsertOutcome staged = pool_.Insert(id, *src, &out);
+  if (staged == BufferPool::InsertOutcome::kReused) {
+    // A concurrent fetch of the same cold page staged it first: this fetch
+    // is the hit it would have been a moment later, not a second fault.
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return out;
+  }
   faults_.fetch_add(1, std::memory_order_relaxed);
-  if (!pool_.Insert(id, *src, &out)) {
+  if (staged == BufferPool::InsertOutcome::kFull) {
     // Every candidate frame is pinned: serve a handle-owned copy without
     // caching it (and skip readahead — further staging attempts would
     // burn device reads against the same pinned-full pool).  Rare — it
@@ -93,8 +100,12 @@ StatusOr<PinnedPage> Pager::SyncFetch(PageId id) {
     if (pool_.Resident(next)) continue;
     const Page* ra_src = nullptr;
     if (!file_.View(next, &ra_src).ok()) break;
-    if (!pool_.Insert(next, *ra_src, /*out=*/nullptr)) break;
-    prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
+    const BufferPool::InsertOutcome ra_staged =
+        pool_.Insert(next, *ra_src, /*out=*/nullptr);
+    if (ra_staged == BufferPool::InsertOutcome::kFull) break;
+    if (ra_staged == BufferPool::InsertOutcome::kStaged) {
+      prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   return out;
 }
@@ -181,7 +192,7 @@ StatusOr<PinnedPage> Pager::ServiceMiss(PageId id) {
   const Page* src = nullptr;
   CONN_RETURN_IF_ERROR(file_.View(id, &src));
   PinnedPage out;
-  if (!pool_.Insert(id, *src, &out)) {
+  if (pool_.Insert(id, *src, &out) == BufferPool::InsertOutcome::kFull) {
     return PinnedPage::Overflow(id, *src);
   }
   return out;
@@ -230,7 +241,8 @@ void Pager::ServiceBatch(std::vector<MissQueue::Item> batch) {
     // fault was charged at issue time, and Insert's raced-in reuse must
     // not double-count a hit.
     PinnedPage out;
-    if (!pool_.Insert(item.id, *view, &out)) {
+    if (pool_.Insert(item.id, *view, &out) ==
+        BufferPool::InsertOutcome::kFull) {
       out = PinnedPage::Overflow(item.id, *view);
     }
     CompletePageRequest(*item.state, Status::OK(), std::move(out));

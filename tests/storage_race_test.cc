@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -165,6 +166,51 @@ TEST(StorageRaceTest, ConcurrentTreeTraversalsShareOnePool) {
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(tree.pager().buffer_pool().PinnedFrames(), 0u);
+}
+
+// Threads that miss the same cold page together charge one fault between
+// them: the first to stage it faults, every later one reuses its frame and
+// counts the hit it would have been a moment later — the same counts as
+// the race-free interleaving (1 fault + N-1 hits), so fault totals do not
+// depend on thread timing.
+TEST(StorageRaceTest, ConcurrentColdMissChargesOneFault) {
+  constexpr size_t kThreads = 4;
+  constexpr uint64_t kRounds = 1000;
+
+  Pager pager;
+  const PageId id = pager.Allocate();
+  ASSERT_TRUE(pager.Write(id, StampedPage(id)).ok());
+  BufferOptions opts;
+  opts.capacity_pages = 16;
+  pager.ConfigureBuffer(opts);
+  pager.ResetCounters();
+
+  // `start` releases every thread onto the cold page at once; `done` waits
+  // until all pins are dropped, and its completion step empties the pool
+  // so the next round starts cold again.
+  std::barrier start(kThreads);
+  std::barrier done(kThreads, [&pager]() noexcept { pager.ClearBuffer(); });
+  std::atomic<uint64_t> corrupt{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (uint64_t round = 0; round < kRounds; ++round) {
+        start.arrive_and_wait();
+        {
+          StatusOr<PinnedPage> view = pager.Fetch(id);
+          if (!view.ok() || !PageMatchesStamp(view.value().page(), id)) {
+            corrupt.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        done.arrive_and_wait();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(corrupt.load(), 0u);
+  EXPECT_EQ(pager.faults(), kRounds);
+  EXPECT_EQ(pager.hits(), kRounds * (kThreads - 1));
 }
 
 }  // namespace
