@@ -12,14 +12,7 @@ QueryWorkspace::QueryWorkspace(const rtree::RStarTree* data_tree,
     : domain_(
           internal::WorkspaceBounds(data_tree, obstacle_tree, query_cover)),
       vg_(domain_, /*stats=*/nullptr),
-      differential_repair_(differential_repair) {
-  // Repair-mode workspaces keep eager adjacency: measured on bench_ticks,
-  // vis::VisGraph's deferred (patch-only) mode trades the per-insertion
-  // corner sweeps for per-touch patches at roughly break-even pair count,
-  // and its bookkeeping overhead loses ~15% warm qps at smoke scale.  The
-  // repair win comes from the settlement log and the reshard adoption
-  // path, both orthogonal to adjacency maintenance.
-}
+      differential_repair_(differential_repair) {}
 
 }  // namespace core
 }  // namespace conn
