@@ -336,13 +336,11 @@ CoknnResult RunCoknn(const geom::Segment& q, size_t k,
   // carried or re-scored at retrieval granularity: a point whose whole
   // search range was served by carried coverage (or by earlier waves of
   // this query) never touched the tree; a boundary point streamed.
-  auto retrieve = [&](geom::Vec2 p,
-                      std::unique_ptr<vis::DijkstraScan>* scan) {
+  auto retrieve = [&](geom::Vec2 p, std::unique_ptr<vis::DijkstraScan>* scan) {
     const uint64_t yields_before = guarded.yields();
-    const double od =
-        IncrementalObstacleRetrieval(source, vg, targets, p, &retrieved,
-                                     stats, scan, arena,
-                                     opts.use_warm_scan_restarts);
+    const double od = IncrementalObstacleRetrieval(
+        source, vg, targets, p, &retrieved, stats, scan, arena,
+        opts.use_warm_scan_restarts);
     if (repair.log != nullptr) {
       if (guarded.yields() != yields_before) {
         ++stats->tuples_rescored;

@@ -99,9 +99,8 @@ void ExpectOracleAnswer(const core::CoknnResult& r, const World& w,
     const double tol = 1e-6 * (1.0 + want[j].second);
     EXPECT_NEAR(r.OdistAt(0.0, j), want[j].second, tol) << "rank " << j;
     // Ids may differ only between equidistant points.
-    EXPECT_NEAR(w.oracle.OdistToPoint(
-                    p, static_cast<size_t>(tup.candidates[j].pid)),
-                want[j].second, tol)
+    const size_t pid = static_cast<size_t>(tup.candidates[j].pid);
+    EXPECT_NEAR(w.oracle.OdistToPoint(p, pid), want[j].second, tol)
         << "rank " << j;
   }
 }
@@ -169,8 +168,8 @@ TEST_P(PointQuery, InsideObstacleIsUnreachable) {
   const geom::Vec2 p = w.scene.obstacles.front().Center();
   ExpectUnreachablePoint(w.Query(p, cfg.k, cfg.one_tree));
 
-  const BatchResult batched = w.Runner(cfg.one_tree, BatchOptions{})
-                                  .Run({BatchQuery::Coknn({p, p}, cfg.k)});
+  const BatchRunner runner = w.Runner(cfg.one_tree, BatchOptions{});
+  const BatchResult batched = runner.Run({BatchQuery::Coknn({p, p}, cfg.k)});
   ExpectUnreachablePoint(*batched.outcomes[0].coknn);
 
   // The CONN view agrees: nothing reachable, nothing reported.
