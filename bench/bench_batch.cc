@@ -74,7 +74,7 @@ std::vector<exec::BatchQuery> UniformWorkload(size_t n, size_t k,
 }
 
 void ReportBatch(benchmark::State& state, const exec::BatchStats& stats,
-                 size_t queries, double elapsed_total, size_t hint_depth) {
+                 size_t queries, double elapsed_total) {
   state.counters["qps"] = benchmark::Counter(
       static_cast<double>(queries) * state.iterations() / elapsed_total);
   state.counters["reuse_hits"] = static_cast<double>(stats.obstacle_reuse_hits);
@@ -93,18 +93,12 @@ void ReportBatch(benchmark::State& state, const exec::BatchStats& stats,
       static_cast<double>(stats.per_query_totals.dijkstra_settled);
   state.counters["NOE"] =
       static_cast<double>(stats.per_query_totals.obstacles_evaluated);
-  // Async miss pipeline ($CONN_ASYNC_IO) — all zero when it's off.
-  state.counters["parked"] = static_cast<double>(stats.shards_parked);
-  state.counters["mq_p50"] = static_cast<double>(stats.miss_queue_depth_p50);
-  state.counters["mq_p99"] = static_cast<double>(stats.miss_queue_depth_p99);
+  // Hint staging ($CONN_STAGE_HINTS) — zero when it's off.
   state.counters["prefetch_issued"] =
       static_cast<double>(stats.per_query_totals.prefetch_issued);
   state.counters["prefetch_hits"] =
       static_cast<double>(stats.per_query_totals.prefetch_hits);
-  // The effective hint depth is the autotuner's final answer for this
-  // workload (pool_tuning.h); it stays at the cap with async off.
-  state.SetLabel(std::string(BenchAsyncIo() ? "async=on" : "async=off") +
-                 " hint_depth=" + std::to_string(hint_depth));
+  state.SetLabel(StageHintsLabel());
 }
 
 void RunBatchedBench(benchmark::State& state,
@@ -112,7 +106,7 @@ void RunBatchedBench(benchmark::State& state,
                      bool share_workspace) {
   const Dataset& ds = GetDataset(datagen::PointDistribution::kUniform,
                                  ScaledCa(), ScaledLa());
-  ApplyBenchAsyncIo(ds);
+  ApplyBenchStageHints(ds);
   exec::BatchOptions opts;
   opts.target_shard_size = 16;
   opts.share_workspace = share_workspace;
@@ -126,8 +120,7 @@ void RunBatchedBench(benchmark::State& state,
     last = result.stats;
     elapsed += result.stats.wall_seconds;
   }
-  ReportBatch(state, last, batch.size(), elapsed,
-              ds.tp->pager().effective_hint_depth());
+  ReportBatch(state, last, batch.size(), elapsed);
 }
 
 void RunSequentialBench(benchmark::State& state,

@@ -90,9 +90,9 @@ const char* PolicyName(storage::EvictionPolicy policy) {
   return policy == storage::EvictionPolicy::kExactLru ? "exact-lru" : "2q";
 }
 
-bool BenchAsyncIo() {
+bool BenchStageHints() {
   static const bool enabled = [] {
-    const char* env = std::getenv("CONN_ASYNC_IO");
+    const char* env = std::getenv("CONN_STAGE_HINTS");
     if (env == nullptr) return false;
     const std::string v(env);
     return v == "1" || v == "on" || v == "true";
@@ -100,14 +100,18 @@ bool BenchAsyncIo() {
   return enabled;
 }
 
-void ApplyBenchAsyncIo(const Dataset& ds) {
-  if (!BenchAsyncIo()) return;
+const char* StageHintsLabel() {
+  return BenchStageHints() ? "stage_hints=on" : "stage_hints=off";
+}
+
+void ApplyBenchStageHints(const Dataset& ds) {
+  if (!BenchStageHints()) return;
   auto enable = [](rtree::RStarTree& tree) {
     storage::BufferOptions opts = tree.pager().buffer_pool().options();
     opts.capacity_pages =
         static_cast<size_t>(static_cast<double>(tree.PageCount()) * 0.08);
     opts.policy = BenchBufferPolicy();
-    opts.async_io = true;
+    opts.stage_hints = true;
     tree.pager().ConfigureBuffer(opts);
     tree.pager().ResetCounters();
   };
@@ -127,7 +131,7 @@ QueryStats RunCoknnWorkload(const Dataset& ds, const RunConfig& cfg) {
     storage::BufferOptions opts = tree.pager().buffer_pool().options();
     opts.capacity_pages = pages;
     opts.policy = cfg.buffer_policy;
-    opts.async_io = cfg.async_io;
+    opts.stage_hints = cfg.stage_hints;
     tree.pager().ConfigureBuffer(opts);  // also drops stale cached pages
     tree.pager().ResetCounters();
   };

@@ -57,18 +57,20 @@ storage::EvictionPolicy BenchBufferPolicy();
 /// Human-readable name of a policy (benchmark labels).
 const char* PolicyName(storage::EvictionPolicy policy);
 
-/// Async miss pipeline toggle from $CONN_ASYNC_IO ("1"/"on" enables;
-/// default off, the reference configuration the baselines were captured
-/// under).
-bool BenchAsyncIo();
+/// Hint-staging toggle from $CONN_STAGE_HINTS ("1"/"on" enables; default
+/// off, the reference configuration the baselines were captured under).
+bool BenchStageHints();
 
-/// Applies $CONN_ASYNC_IO to a dataset's trees for the throughput
+/// Applies $CONN_STAGE_HINTS to a dataset's trees for the throughput
 /// harnesses (bench_batch / bench_ticks), which don't sweep buffer size
 /// themselves: when on, every tree gets a buffer at 8% of its pages with
-/// the async pipeline enabled; when off, the trees are left untouched
+/// hint staging enabled; when off, the trees are left untouched
 /// (unbuffered — the committed-baseline configuration).  The figure
-/// harnesses instead route the toggle through RunConfig::async_io.
-void ApplyBenchAsyncIo(const Dataset& ds);
+/// harnesses instead route the toggle through RunConfig::stage_hints.
+void ApplyBenchStageHints(const Dataset& ds);
+
+/// "stage_hints=on" / "stage_hints=off" per BenchStageHints() (labels).
+const char* StageHintsLabel();
 
 /// Workload/measurement knobs for one benchmark configuration.
 struct RunConfig {
@@ -78,7 +80,7 @@ struct RunConfig {
   bool one_tree = false;       ///< Section 4.5 unified-tree variant
   double buffer_percent = 0.0; ///< buffer capacity as % of tree pages
   storage::EvictionPolicy buffer_policy = storage::EvictionPolicy::kTwoQueue;
-  bool async_io = false;       ///< service misses via the async pipeline
+  bool stage_hints = false;    ///< traversals stage hint pages
   size_t warmup_queries = 0;   ///< extra queries to warm the buffer
   core::ConnOptions options;
   uint64_t seed = 7777;

@@ -15,11 +15,13 @@
 // fault counts bit-for-bit.  The JSON carries both "faults" and "hits" per
 // configuration, so the whole I/O curve is machine-readable.
 //
-// $CONN_ASYNC_IO=1 routes misses through the asynchronous pipeline
-// (storage/pager.h); fault counts are unchanged by construction — the
-// async curve must overlay the sync one — and the prefetch_* counters
-// become non-zero.  The default (off) is the configuration the committed
-// baselines were captured under.
+// $CONN_STAGE_HINTS=1 turns on hint staging (BufferOptions::stage_hints):
+// the traversals stage the pages they will likely read next, so demand
+// faults can only turn into hits — the staged fault curve sits at or below
+// the reference one, every algorithmic counter overlays it exactly, and
+// the prefetch_* counters become non-zero.  Staging is synchronous, so the
+// staged run is as reproducible as the reference.  The default (off) is
+// the configuration the reference baseline was captured under.
 
 #include <benchmark/benchmark.h>
 
@@ -40,7 +42,7 @@ void RunBuffer(benchmark::State& state, datagen::PointDistribution dist,
     cfg.k = 5;
     cfg.buffer_percent = bs;
     cfg.buffer_policy = BenchBufferPolicy();
-    cfg.async_io = BenchAsyncIo();
+    cfg.stage_hints = BenchStageHints();
     cfg.warmup_queries = BenchQueries();  // paper: 50 warm-up of 100
     avg = RunCoknnWorkload(ds, cfg);
   }
@@ -48,8 +50,7 @@ void RunBuffer(benchmark::State& state, datagen::PointDistribution dist,
   state.counters["hits"] = static_cast<double>(avg.buffer_hits);
   state.SetLabel(std::string(name) + ", k=5, ql=4.5%, bs=" +
                  std::to_string(static_cast<int>(bs)) + "%, policy=" +
-                 PolicyName(BenchBufferPolicy()) +
-                 (BenchAsyncIo() ? ", async=on" : ", async=off"));
+                 PolicyName(BenchBufferPolicy()) + ", " + StageHintsLabel());
 }
 
 void BM_Fig12_CL(benchmark::State& state) {

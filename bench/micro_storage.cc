@@ -1,16 +1,14 @@
 // Storage-layer microbenchmarks: buffer-pool hit latency, miss/eviction
 // churn, pin/unpin latch contention across threads, the decoded-node cache
-// on the tree read path, and STR sibling readahead.  Wired into the
-// bench_smoke CTest label so the pool's fast paths stay runnable; absolute
-// numbers are hardware-dependent, shapes (hit << miss, contention scaling)
-// are what to watch.
+// on the tree read path, and cold scans with Prefetch readahead.  Wired
+// into the bench_smoke CTest label so the pool's fast paths stay runnable;
+// absolute numbers are hardware-dependent, shapes (hit << miss, contention
+// scaling) are what to watch.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,8 +35,7 @@ EvictionPolicy PolicyArg(int64_t arg) {
   return arg == 0 ? EvictionPolicy::kTwoQueue : EvictionPolicy::kExactLru;
 }
 
-std::unique_ptr<Pager> MakePager(size_t capacity, EvictionPolicy policy,
-                                 size_t readahead = 0) {
+std::unique_ptr<Pager> MakePager(size_t capacity, EvictionPolicy policy) {
   auto pager = std::make_unique<Pager>();
   Page p;
   for (size_t i = 0; i < kFilePages; ++i) {
@@ -49,7 +46,6 @@ std::unique_ptr<Pager> MakePager(size_t capacity, EvictionPolicy policy,
   BufferOptions opts;
   opts.capacity_pages = capacity;
   opts.policy = policy;
-  opts.readahead_pages = readahead;
   pager->ConfigureBuffer(opts);
   return pager;
 }
@@ -123,56 +119,31 @@ void BM_PinContention(benchmark::State& state) {
 BENCHMARK(BM_PinContention)->Threads(1)->Threads(2)->Threads(4)
     ->UseRealTime();
 
-/// STR sibling readahead: sequential leaf-order scan with and without
-/// prefetching; the fault counter stays demand-only either way.
-void BM_ReadaheadScan(benchmark::State& state) {
-  const size_t readahead = static_cast<size_t>(state.range(0));
-  auto pager =
-      MakePager(/*capacity=*/64, EvictionPolicy::kTwoQueue, readahead);
-  PageId id = 0;
-  for (auto _ : state) {
-    StatusOr<PinnedPage> view = pager->Fetch(id);
-    benchmark::DoNotOptimize(view.value().page().data());
-    id = (id + 1) % kFilePages;
-  }
-  const double total =
-      static_cast<double>(pager->hits() + pager->faults());
-  state.counters["fault_rate"] =
-      static_cast<double>(pager->faults()) / total;
-}
-BENCHMARK(BM_ReadaheadScan)->Arg(0)->Arg(8);
-
-/// Cold scan with engine-issued Prefetch hints (the pager here always runs
-/// the async pipeline, independent of $CONN_ASYNC_IO).  Hinting a window
-/// ahead of the scan cursor overlaps staging with the per-page work, so the
-/// demand-fault counter falls vs the hint-free scan (Arg 0) while the
-/// result of the scan is identical.
-void BM_ColdScanPrefetch(benchmark::State& state) {
-  const bool hints = state.range(0) != 0;
-  constexpr size_t kWindow = 32;
+/// Cold sequential scan with readahead: after each demand fault the scan
+/// stages the next Arg pages through Prefetch (STR lays a level's siblings
+/// out contiguously).  Arg 0 is the staging-free scan.  Staged pages count
+/// device reads and prefetch hits, never faults, so demand_faults falls
+/// with the readahead width while the scan's result is identical.
+void BM_ColdScan(benchmark::State& state) {
+  const auto readahead = static_cast<PageId>(state.range(0));
   uint64_t demand_faults = 0;
   uint64_t staged_hits = 0;
+  std::vector<PageId> next;
   for (auto _ : state) {
     state.PauseTiming();
     auto pager = MakePager(/*capacity=*/64, EvictionPolicy::kTwoQueue);
-    BufferOptions opts = pager->buffer_pool().options();
-    opts.async_io = true;
-    pager->ConfigureBuffer(opts);
     pager->ResetCounters();
     state.ResumeTiming();
-    std::vector<PageId> window;
     uint64_t sum = 0;
     for (PageId id = 0; id < kFilePages; ++id) {
-      if (hints && id % (kWindow / 2) == 0) {
-        window.clear();
-        const PageId lo = id + kWindow / 2;
-        const PageId hi =
-            std::min<PageId>(lo + kWindow, static_cast<PageId>(kFilePages));
-        for (PageId j = lo; j < hi; ++j) window.push_back(j);
-        pager->Prefetch(std::span<const PageId>(window));
-      }
+      const uint64_t faults_before = pager->faults();
       StatusOr<PinnedPage> view = pager->Fetch(id);
       sum += view.value().page().ReadAt<uint64_t>(0);
+      if (readahead > 0 && pager->faults() != faults_before) {
+        next.clear();
+        for (PageId j = id + 1; j <= id + readahead; ++j) next.push_back(j);
+        pager->Prefetch(next);
+      }
     }
     benchmark::DoNotOptimize(sum);
     demand_faults = pager->faults();
@@ -181,7 +152,7 @@ void BM_ColdScanPrefetch(benchmark::State& state) {
   state.counters["demand_faults"] = static_cast<double>(demand_faults);
   state.counters["prefetch_hits"] = static_cast<double>(staged_hits);
 }
-BENCHMARK(BM_ColdScanPrefetch)->Arg(0)->Arg(1);
+BENCHMARK(BM_ColdScan)->Arg(0)->Arg(8)->Arg(32);
 
 /// Tree read path: hot-node fetches against the decoded-node cache
 /// (buffered) vs per-read parsing (unbuffered).

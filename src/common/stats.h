@@ -22,8 +22,8 @@ struct QueryStats {
   uint64_t obstacle_page_reads = 0;  ///< page faults on the obstacle R-tree To
   uint64_t buffer_hits = 0;          ///< LRU buffer hits (no fault charged)
 
-  // --- asynchronous miss pipeline (BufferOptions::async_io) ---
-  uint64_t prefetch_issued = 0;  ///< staging hints accepted into the queue
+  // --- hint staging (Pager::Prefetch; BufferOptions::stage_hints) ---
+  uint64_t prefetch_issued = 0;  ///< pages staged ahead of demand
   uint64_t prefetch_hits = 0;    ///< demand touches served by a staged page
   uint64_t prefetch_wasted = 0;  ///< staged pages evicted before any demand
 

@@ -191,7 +191,7 @@ class PagerDelta {
   uint64_t prefetch_wasted0_;
 };
 
-/// Folds a delta's async-pipeline counters into \p stats.  Additive, so the
+/// Folds a delta's hint-staging counters into \p stats.  Additive, so the
 /// deltas of several trees (data + obstacle, or join operands) stack.
 inline void AddPrefetchStats(const PagerDelta& io, QueryStats* stats) {
   stats->prefetch_issued += io.prefetch_issued();

@@ -1,9 +1,8 @@
 #include "exec/batch.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <deque>
-#include <span>
 #include <thread>
 #include <utility>
 
@@ -15,7 +14,6 @@
 #include "exec/sharder.h"
 #include "exec/thread_pool.h"
 #include "geom/box.h"
-#include "storage/page_request.h"
 
 namespace conn {
 namespace exec {
@@ -61,30 +59,6 @@ constexpr double kSpacingFloorFactor = 8.0;
 /// in its Theorem-2 search range).
 geom::Rect ExpandedBy(const geom::Rect& r, double m) {
   return geom::Rect({r.lo.x - m, r.lo.y - m}, {r.hi.x + m, r.hi.y + m});
-}
-
-/// Subtree tops staged per shard before a worker picks it up (async miss
-/// pipeline only): the root children overlapping the shard's cover.
-constexpr size_t kStageFanout = 8;
-
-/// A shard is re-queued at most this many times while its staged fault is
-/// in flight, so a slow read can only defer a shard, never starve it.
-constexpr uint8_t kMaxShardParks = 3;
-
-/// Issues a shard's staging reads: hints for the subtree tops overlapping
-/// its cover, with the first top kept as a demand request — the shard's
-/// *park token*.  A worker that finds the token still in flight re-queues
-/// the shard and runs another one instead of blocking on the fault.
-storage::PageRequest StageShard(const rtree::RStarTree& tree,
-                                const std::vector<geom::Segment>& segments,
-                                const std::vector<size_t>& members) {
-  std::vector<storage::PageId> tops;
-  const geom::Rect cover = ShardCover(segments, members);
-  const Status st =
-      tree.CollectRootChildrenOverlapping(cover, kStageFanout, &tops);
-  if (!st.ok() || tops.empty()) return storage::PageRequest();
-  tree.PrefetchPages(std::span<const storage::PageId>(tops).subspan(1));
-  return tree.pager().FetchAsync(tops[0]);
 }
 
 }  // namespace
@@ -309,57 +283,12 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
     }
   };
 
-  // With the async miss pipeline on, stage every shard's subtree tops up
-  // front (hints + one demand request kept as the shard's park token), so
-  // the I/O workers warm shard roots while the batch spins up.  The tree
-  // the engines hit first drives the staging: the obstacle tree in 2-tree
-  // mode (IOR descends it before any data access), the unified tree
-  // otherwise.
-  const rtree::RStarTree& stage_tree =
-      obstacles_ != nullptr ? *obstacles_ : *data_;
-  const bool async = stage_tree.PrefetchEnabled();
-  std::vector<storage::PageRequest> stage(plan->states_.size());
-  if (async) {
-    for (size_t i = 0; i < plan->states_.size(); ++i) {
-      stage[i] = StageShard(stage_tree, segments, plan->states_[i].members);
-    }
-  }
-
-  // Work-parking scheduler: shards live in a runnable queue; a worker that
-  // pops a shard whose staged fault is still in flight re-queues it
-  // (bounded by kMaxShardParks) and picks up another shard's work instead
-  // of blocking on the device.  With async off this degrades to the plain
-  // FIFO the submit-per-shard loop used to be — same order, same
-  // single-worker determinism.
-  Mutex sched_mu;
-  std::deque<size_t> runnable;
-  for (size_t i = 0; i < plan->states_.size(); ++i) runnable.push_back(i);
-  std::vector<uint8_t> parks(plan->states_.size(), 0);
-  size_t parked_total = 0;
-
+  // Workers claim shards in FIFO order from a shared cursor; with a
+  // single worker the order (and so every counter) is deterministic.
+  std::atomic<size_t> next_shard{0};
   auto worker = [&]() {
-    while (true) {
-      size_t idx = 0;
-      {
-        MutexLock lock(sched_mu);
-        if (runnable.empty()) return;
-        idx = runnable.front();
-        runnable.pop_front();
-        if (async && !runnable.empty() && parks[idx] < kMaxShardParks &&
-            stage[idx].valid() && !stage[idx].Ready()) {
-          ++parks[idx];
-          ++parked_total;
-          runnable.push_back(idx);
-          continue;
-        }
-      }
-      if (stage[idx].valid()) {
-        // Consume the park token (usually already completed).  Advisory
-        // only: the engines fetch what they need themselves, so a failed
-        // staging read costs nothing.
-        const StatusOr<storage::PinnedPage> staged = stage[idx].Wait();
-        (void)staged;
-      }
+    for (size_t idx = next_shard.fetch_add(1); idx < plan->states_.size();
+         idx = next_shard.fetch_add(1)) {
       run_shard(plan->states_[idx]);
     }
   };
@@ -372,7 +301,6 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
     for (size_t t = 0; t < threads; ++t) pool.Submit(worker);
     pool.WaitIdle();
   }
-  result.stats.shards_parked = parked_total;
 
   result.stats.data_page_faults = data_->pager().faults() - data_faults0;
   result.stats.buffer_hits = data_->pager().hits() - data_hits0;
@@ -381,16 +309,6 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
         obstacles_->pager().faults() - obs_faults0;
     result.stats.buffer_hits += obstacles_->pager().hits() - obs_hits0;
   }
-  auto fold_depths = [&result](const rtree::RStarTree& tree) {
-    if (!tree.PrefetchEnabled()) return;
-    const storage::MissQueue::DepthStats d = tree.pager().MissQueueDepths();
-    result.stats.miss_queue_depth_p50 =
-        std::max(result.stats.miss_queue_depth_p50, d.p50);
-    result.stats.miss_queue_depth_p99 =
-        std::max(result.stats.miss_queue_depth_p99, d.p99);
-  };
-  fold_depths(*data_);
-  if (obstacles_ != nullptr) fold_depths(*obstacles_);
   result.stats.wall_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "geom/distance.h"
+#include "storage/pool_tuning.h"
 
 namespace conn {
 namespace rtree {
@@ -17,8 +18,8 @@ namespace {
 // without ordering the whole heap.
 constexpr size_t kPendingHintScan = 12;
 
-// At most this many pending-node hints per expansion: enough to keep the
-// I/O workers ahead of the descent, small enough that a query that
+// At most this many pending-node hints per expansion: enough to stage the
+// descent's likely next expansions, small enough that a query that
 // terminates early (Lemma 2 / Lemma 3 bounds) wastes little staging.
 constexpr size_t kPendingNodeHintCap = 4;
 
@@ -62,8 +63,8 @@ void BestFirstIterator::EmitPendingNodeHints() {
 void BestFirstIterator::EnsureTopIsObject() {
   while (!heap_.empty() && heap_.front().is_node) {
     const HeapItem top = PopTop();
-    // Issue staging for the nodes we will likely expand next *before*
-    // faulting on this one, so their reads overlap this expansion.
+    // Stage the nodes we will likely expand next before faulting on this
+    // one, so their later demand fetches find them resident.
     if (hints_) EmitPendingNodeHints();
     // Page ids in the heap come from the tree itself; failure here means
     // structural corruption, not a caller error.
@@ -89,11 +90,9 @@ void BestFirstIterator::EnsureTopIsObject() {
     }
     if (collect_leaves && !leaf_children.empty()) {
       // Sibling leaf pages staged per expanded level-1 node, nearest (by
-      // mindist to the query) first, clamped by the pager's autotuned
-      // window (pool_tuning.h): workloads whose staged siblings keep
-      // getting evicted untouched earn a narrower window.
-      const size_t take = std::min(leaf_children.size(),
-                                   tree_.pager().effective_hint_depth());
+      // mindist to the query) first, at most kHintDepth of them.
+      const size_t take =
+          std::min(leaf_children.size(), storage::kHintDepth);
       std::partial_sort(leaf_children.begin(), leaf_children.begin() + take,
                         leaf_children.end());
       hint_scratch_.clear();

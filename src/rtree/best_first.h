@@ -6,15 +6,15 @@
 // (RLMAX, Lemma 2; or the IOR search distance, Lemma 3) is reached, giving
 // the optimal I/O property of best-first search.
 //
-// When the tree's pager runs the asynchronous miss pipeline
-// (BufferOptions::async_io), the descent additionally *hints*: before
+// With hint staging on (BufferOptions::stage_hints over a buffered pool),
+// the descent additionally stages pages through Pager::Prefetch: before
 // faulting on the node it is about to expand it stages the nearest
 // still-pending node pages from the heap prefix, and when it expands a
 // level-1 node it stages that node's nearest leaf children (STR siblings,
-// laid out contiguously) — so the I/O workers resolve the pages the
-// descent will demand next while this expansion computes.  Hints are
-// advisory: they never fault, never block, and don't change which pages
-// the descent reads, so results and fault/NPE accounting stay identical.
+// laid out contiguously), at most kHintDepth of them.  Staging never
+// faults and doesn't change which nodes the descent expands, so results
+// and NPE/NOE accounting stay identical; demand faults can only turn into
+// buffer hits.
 
 #ifndef CONN_RTREE_BEST_FIRST_H_
 #define CONN_RTREE_BEST_FIRST_H_
@@ -69,8 +69,7 @@ class BestFirstIterator {
   HeapItem PopTop();
 
   /// Stages the nearest still-pending node pages from the heap prefix
-  /// (async pipeline only; called right before a demand node fetch so the
-  /// staging overlaps it).
+  /// (hint staging only; called right before a demand node fetch).
   void EmitPendingNodeHints();
 
   const RStarTree& tree_;

@@ -4,25 +4,23 @@
 #include <vector>
 
 #include "geom/distance.h"
+#include "storage/pool_tuning.h"
 
 namespace conn {
 namespace rtree {
 namespace {
 
-// Async pipeline only: stage the leaf children of a just-expanded level-1
+// Hint staging only: stage the leaf children of a just-expanded level-1
 // node so the pairs pushed onto the heap find their pages resident when
-// popped.  Entry order is STR order — siblings are contiguous, so the I/O
-// worker resolves the batch as one ascending sweep.  The batch is clamped
-// by the pager's autotuned staging window (matches the best-first
-// descent's clamp; see pool_tuning.h).
+// popped.  Entry order is STR order — siblings are contiguous.  The batch
+// is clamped by kHintDepth (matches the best-first descent's clamp).
 void HintLeafChildren(const RStarTree& tree, const Node& node) {
   if (node.level != 1 || !tree.PrefetchEnabled()) return;
-  const size_t cap = tree.pager().effective_hint_depth();
   std::vector<storage::PageId> ids;
-  ids.reserve(cap);
+  ids.reserve(storage::kHintDepth);
   for (const NodeEntry& e : node.entries) {
     ids.push_back(e.DecodeChild());
-    if (ids.size() >= cap) break;
+    if (ids.size() >= storage::kHintDepth) break;
   }
   tree.PrefetchPages(ids);
 }

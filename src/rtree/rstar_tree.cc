@@ -139,29 +139,12 @@ StatusOr<ConstNodeRef> RStarTree::FetchNode(storage::PageId id) const {
 
 bool RStarTree::PrefetchEnabled() const {
   const storage::BufferOptions& opts = pager_->buffer_pool().options();
-  return opts.async_io && opts.capacity_pages > 0;
+  return opts.stage_hints && opts.capacity_pages > 0;
 }
 
 void RStarTree::PrefetchPages(std::span<const storage::PageId> ids) const {
   if (!PrefetchEnabled()) return;
   pager_->Prefetch(ids);
-}
-
-Status RStarTree::CollectRootChildrenOverlapping(
-    const geom::Rect& range, size_t max_pages,
-    std::vector<storage::PageId>* out) const {
-  out->clear();
-  if (max_pages == 0) return Status::OK();
-  StatusOr<ConstNodeRef> root = FetchNode(root_);
-  if (!root.ok()) return root.status();
-  const Node& node = *root.value();
-  if (node.IsLeaf()) return Status::OK();
-  for (const NodeEntry& e : node.entries) {
-    if (!e.rect.Intersects(range)) continue;
-    out->push_back(e.DecodeChild());
-    if (out->size() >= max_pages) break;
-  }
-  return Status::OK();
 }
 
 Status RStarTree::ReadNode(storage::PageId id, Node* out) const {
@@ -518,9 +501,8 @@ Status RStarTree::RangeQuery(const geom::Rect& range,
         stack.push_back(e.DecodeChild());
       }
     }
-    // Async pipeline: hint the qualifying children as one batch so their
-    // reads overlap this level's compute (STR lays siblings contiguously,
-    // so the I/O worker resolves them as one ascending sweep).
+    // Hint staging: stage the qualifying children as one batch (STR lays
+    // siblings contiguously).
     if (hints && stack.size() > first_child) {
       PrefetchPages(std::span<const storage::PageId>(stack).subspan(
           first_child));
@@ -549,7 +531,7 @@ Status RStarTree::SegmentIntersectionQuery(const geom::Segment& s,
         stack.push_back(e.DecodeChild());
       }
     }
-    // See RangeQuery: batch-hint the qualifying children (async only).
+    // See RangeQuery: stage the qualifying children (hint staging only).
     if (hints && stack.size() > first_child) {
       PrefetchPages(std::span<const storage::PageId>(stack).subspan(
           first_child));

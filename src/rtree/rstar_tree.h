@@ -19,7 +19,9 @@
 // of any capacity and policy (Figure 12's experiment).  Read traversals use
 // FetchNode(), which pins the page in the pool and returns a shared ref to
 // the frame's cached deserialization — hot nodes are parsed once per
-// residency and never copied.  The Pager itself lives behind a stable heap
+// residency and never copied.  With BufferOptions::stage_hints on, the
+// traversals also stage the pages they will likely read next
+// (PrefetchPages).  The Pager itself lives behind a stable heap
 // handle: moving a tree (bulk-load returns by value) relocates only the
 // handle, never the frame table, latches, or counters that in-flight
 // readers may reference.
@@ -86,23 +88,14 @@ class RStarTree {
   /// residency of the page).  The ref stays valid after eviction.
   StatusOr<ConstNodeRef> FetchNode(storage::PageId id) const;
 
-  /// True when the pager runs the asynchronous miss pipeline (async_io on
-  /// over a buffered pool).  Traversals emit staging hints only then —
-  /// synchronous configurations keep the exact reference access pattern.
+  /// True when traversals stage hint pages: stage_hints on over a
+  /// buffered pool.  Otherwise they keep the exact reference access
+  /// pattern.
   bool PrefetchEnabled() const;
 
-  /// Forwards advisory staging hints for tree pages to the pager (a no-op
-  /// unless PrefetchEnabled(); hints never fault and never block).
+  /// Stages tree pages through Pager::Prefetch (a no-op unless
+  /// PrefetchEnabled(); staging never faults).
   void PrefetchPages(std::span<const storage::PageId> ids) const;
-
-  /// Child pages of the root whose rectangles intersect \p range, up to
-  /// \p max_pages (empty when the root is a leaf).  The batch executor
-  /// stages a shard's subtree tops through this before a worker picks the
-  /// shard up, so the shard's first descents find them resident.
-  Status CollectRootChildrenOverlapping(const geom::Rect& range,
-                                        size_t max_pages,
-                                        std::vector<storage::PageId>* out)
-      const;
 
   /// Reads a node into caller-owned (mutable) storage — the insertion and
   /// deletion paths use this; read-only traversals prefer FetchNode().

@@ -130,7 +130,7 @@ uint32_t BufferPool::EvictFromTail(Shard& sh, ListId list_id, bool to_ghost) {
   }
   if (f == kNullFrame) return kNullFrame;
   Frame& frame = frames_[f];
-  // A readahead-staged page that was never demand-referenced has no reuse
+  // A prefetch-staged page that was never demand-referenced has no reuse
   // history to remember: ghosting it would turn its first-ever demand
   // access into a bogus "second reference" straight into Am.
   if (frame.prefetched) {
@@ -208,7 +208,7 @@ bool BufferPool::TryGet(PageId id, PinnedPage* out) {
   // single query, long before classic-2Q's eviction-then-ghost-hit cycle
   // would promote them.  Pages demand-referenced exactly once (leaf
   // scans) stay in the A1in FIFO and wash out without disturbing the
-  // protected set; the first demand hit on a readahead-staged page is
+  // protected set; the first demand hit on a prefetch-staged page is
   // such a first reference, not a promoting second one.
   if (frame.prefetched) {
     frame.prefetched = false;
@@ -246,7 +246,7 @@ uint32_t BufferPool::StageFrame(Shard& sh, PageId id, const Page& src) {
   Frame& frame = frames_[f];
   frame.page = src;  // the simulated disk-to-frame transfer
   frame.page_id = id;
-  frame.prefetched = false;  // Insert overrides for readahead staging
+  frame.prefetched = false;  // Insert overrides for prefetch staging
   sh.table.emplace(id, f);
   if (options_.policy == EvictionPolicy::kExactLru) {
     PushFront(sh, ListId::kAm, f);

@@ -67,29 +67,13 @@ struct BufferOptions {
 
   EvictionPolicy policy = EvictionPolicy::kTwoQueue;
 
-  /// On a demand miss, additionally stage up to this many immediately
-  /// following page ids into the pool.  STR bulk loading allocates each
-  /// level's nodes contiguously, so sibling leaves prefetch for free.
-  /// Prefetched pages count device reads but not faults; a later demand
-  /// access of a staged page counts a buffer hit.  0 disables readahead.
-  size_t readahead_pages = 0;
-
-  /// Service misses asynchronously: Pager::Fetch()/FetchAsync() charge the
-  /// fault immediately but route the device read through a bounded miss
-  /// queue drained by a small I/O worker pool, and Pager::Prefetch() hints
-  /// stage pages off-worker instead of inline.  Off (the default) is the
-  /// synchronous reference behavior the committed baselines were produced
-  /// under.  Ignored while capacity_pages == 0 (unbuffered reads have no
-  /// staging to overlap).
-  bool async_io = false;
-
-  /// I/O worker threads draining the miss queue (async_io only).
-  size_t io_threads = kIoThreads;
-
-  /// Bound on queued miss-queue entries, demand + hints (async_io only).
-  /// Enqueues beyond it degrade gracefully: demand requests are serviced
-  /// inline by the caller, hints are dropped.
-  size_t miss_queue_depth = kMissQueueDepth;
+  /// Let the R-tree traversals stage the pages they will likely read next
+  /// (Pager::Prefetch): the best-first descent's pending nodes and nearest
+  /// STR-sibling leaves, the pair join's leaf children, and the range
+  /// scans' qualifying children.  Staged pages count device reads, not
+  /// faults; a later demand access counts a buffer hit.  Off (the default)
+  /// is the reference access pattern.  Ignored while capacity_pages == 0.
+  bool stage_hints = false;
 };
 
 /// RAII borrow of one page's memory.  Obtained from Pager::Fetch(); the
@@ -202,7 +186,7 @@ class BufferPool {
   /// page raced in concurrently the existing frame is used (kReused — the
   /// caller lost a miss race, which its accounting should treat as a hit).
   /// When \p out is non-null the frame is pinned into it; a null \p out
-  /// marks the page as readahead-staged (its first demand hit is a first
+  /// marks the page as prefetch-staged (its first demand hit is a first
   /// reference).
   InsertOutcome Insert(PageId id, const Page& src, PinnedPage* out);
 
@@ -212,7 +196,7 @@ class BufferPool {
   /// Requires the page to be unpinned (writes never overlap reads).
   void PutForWrite(PageId id, const Page& src);
 
-  /// True if \p id currently occupies a frame (test/readahead helper).
+  /// True if \p id currently occupies a frame (test/prefetch helper).
   bool Resident(PageId id);
 
   /// Number of resident pages / currently pinned frames (test helpers).
@@ -258,9 +242,9 @@ class BufferPool {
     uint32_t prev = kNullFrame;
     uint32_t next = kNullFrame;
     ListId list = ListId::kFree;
-    // Staged by readahead and not demand-referenced yet: the first demand
+    // Staged by Prefetch and not demand-referenced yet: the first demand
     // hit counts as the page's *first* reference, not a promoting second
-    // one (otherwise a readahead-assisted scan would flood Am).
+    // one (otherwise a prefetch-assisted scan would flood Am).
     bool prefetched = false;
   };
 
@@ -306,7 +290,7 @@ class BufferPool {
   /// Copies \p src into a freshly acquired frame of \p sh, registers it
   /// under \p id, and places it on the policy-appropriate list (exact-LRU:
   /// MRU; 2Q: Am on a ghost hit, A1in otherwise).  Shared by the demand
-  /// miss, readahead, and write-through paths.  kNullFrame if every
+  /// miss, prefetch, and write-through paths.  kNullFrame if every
   /// candidate frame is pinned.
   uint32_t StageFrame(Shard& sh, PageId id, const Page& src)
       REQUIRES(sh.mu);

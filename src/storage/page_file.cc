@@ -18,20 +18,6 @@ Status PageFile::View(PageId id, const Page** out) const {
   return Status::OK();
 }
 
-void PageFile::ViewBatch(const std::vector<PageId>& ids,
-                         std::vector<const Page*>* views) const {
-  views->assign(ids.size(), nullptr);
-  if (ids.empty()) return;
-  device_read_batches_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t resolved = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] >= pages_.size()) continue;
-    (*views)[i] = pages_[ids[i]].get();
-    ++resolved;
-  }
-  device_reads_.fetch_add(resolved, std::memory_order_relaxed);
-}
-
 Status PageFile::Read(PageId id, Page* out) const {
   const Page* view = nullptr;
   CONN_RETURN_IF_ERROR(View(id, &view));

@@ -1,10 +1,10 @@
-// Tuning constants shared by the buffer pool's frame-table sharding and by
-// the harnesses that watch its behavior (bench/micro_storage.cc's
-// pin-contention curve, tests/storage_race_test.cc's eviction churn).
+// Tuning constants shared by the buffer pool's frame-table sharding, the
+// R-tree traversals' staging hints, and the harnesses that watch their
+// behavior (bench/micro_storage.cc's pin-contention curve,
+// tests/storage_race_test.cc's eviction churn).
 //
 // They live in one header so the regression watchpoints move together with
-// the pool: the ROADMAP async-I/O item plans to lift the shard cap, and a
-// bench or race test still sized against yesterday's constants would keep
+// the pool: a bench or race test sized against stale constants would keep
 // measuring a single latch while the pool had ten.
 
 #ifndef CONN_STORAGE_POOL_TUNING_H_
@@ -20,57 +20,19 @@ namespace storage {
 /// order bit-for-bit).
 inline constexpr size_t kFramesPerShard = 32;
 
-/// Hard cap on the number of latch shards a pool will create.  Lifted from
-/// 8 once the miss path stopped serializing on the calling thread (the
-/// async pipeline below): with kFramesPerShard frames per latch this caps
-/// latch sharding at a 1024-frame pool, past which the id-interleaved
-/// mapping already spreads contention thin.
+/// Hard cap on the number of latch shards a pool will create.  With
+/// kFramesPerShard frames per latch this caps latch sharding at a
+/// 1024-frame pool, past which the id-interleaved mapping already spreads
+/// contention thin.
 inline constexpr size_t kMaxShards = 32;
 
 /// The 2Q probationary FIFO (A1in) targets shard_capacity / this divisor
 /// (minimum 1 frame).
 inline constexpr size_t kA1inTargetDivisor = 4;
 
-/// Default number of I/O worker threads draining the miss queue when
-/// BufferOptions::async_io is on.
-inline constexpr size_t kIoThreads = 2;
-
-/// Default bound on queued miss-queue entries (demand + hints).  A full
-/// queue degrades gracefully: demand requests fall back to inline
-/// servicing (the synchronous reference path) and hints are dropped.
-inline constexpr size_t kMissQueueDepth = 64;
-
-/// Upper bound on the number of pages one miss-queue service cycle claims:
-/// the worker sorts the claimed ids and resolves them as a single batched
-/// device request (the batched-pread idiom) instead of one read per page.
-inline constexpr size_t kIoBatchPages = 8;
-
-/// Hint-depth autotuning.  The STR-sibling staging window (the leaf pages a
-/// best-first descent or pair join hints per expanded level-1 node) starts
-/// at kHintDepthCap; the pager watches prefetch_wasted / prefetch_issued
-/// over rolling windows of kHintTuneWindow accepted hints and halves the
-/// window (never below kHintDepthFloor) when the wasted ratio exceeds
-/// kHintWastedRatioShrink — a workload whose staged siblings get evicted
-/// untouched is telling us its descents terminate early (Lemma 2 / Lemma 3
-/// bounds), so staging fewer of them wastes fewer device reads and frames.
-/// When the ratio drops below kHintWastedRatioRecover the window creeps
-/// back up one page per window toward the cap.
-
-/// Widest STR-sibling staging window (pages per expanded level-1 node).
-inline constexpr size_t kHintDepthCap = 8;
-
-/// Narrowest the autotuner will shrink the staging window to; 2 keeps the
-/// hint class alive so recovery can observe fresh hit/waste evidence.
-inline constexpr size_t kHintDepthFloor = 2;
-
-/// Accepted staging hints per adaptation decision.
-inline constexpr size_t kHintTuneWindow = 64;
-
-/// Halve the window when wasted/issued over a window exceeds this.
-inline constexpr double kHintWastedRatioShrink = 0.5;
-
-/// Grow the window by one when wasted/issued falls below this.
-inline constexpr double kHintWastedRatioRecover = 0.25;
+/// Most leaf pages a traversal stages per expanded level-1 node (the
+/// nearest STR siblings) when BufferOptions::stage_hints is on.
+inline constexpr size_t kHintDepth = 8;
 
 }  // namespace storage
 }  // namespace conn

@@ -215,18 +215,19 @@ TEST(BufferPoolTest, TwoQueueNeverExceedsCapacity) {
 }
 
 TEST(BufferPoolTest, ReadaheadStagingDoesNotCountAsAFirstReference) {
-  // A page staged by readahead and then demand-read once must behave like
-  // any other single-touch page: it stays probationary and FIFO-evicts.
-  // Otherwise a readahead-assisted sequential scan would promote every
-  // cold page into the protected queue.
+  // A page staged by readahead (Prefetch of the following ids) and then
+  // demand-read once must behave like any other single-touch page: it
+  // stays probationary and FIFO-evicts.  Otherwise a readahead-assisted
+  // sequential scan would promote every cold page into the protected queue.
   BufferOptions opts;
   opts.capacity_pages = 4;  // A1in target = 1
   opts.policy = EvictionPolicy::kTwoQueue;
-  opts.readahead_pages = 2;
   auto pager = MakePager(/*pages=*/16, opts);
 
-  ASSERT_TRUE(pager->Fetch(0).ok());  // demand 0, stages 1 and 2
+  ASSERT_TRUE(pager->Fetch(0).ok());  // demand 0
+  pager->Prefetch(std::vector<PageId>{1, 2});
   EXPECT_TRUE(pager->buffer_pool().Resident(1));
+  EXPECT_EQ(pager->faults(), 1u);  // staging is never a fault
   ASSERT_TRUE(pager->Fetch(1).ok());  // FIRST demand touch of staged page
   EXPECT_EQ(pager->hits(), 1u);
   ASSERT_TRUE(pager->Fetch(0).ok());  // SECOND demand touch: protected
@@ -241,29 +242,36 @@ TEST(BufferPoolTest, ReadaheadStagingDoesNotCountAsAFirstReference) {
 }
 
 TEST(BufferPoolTest, EvictedPrefetchedPagesLeaveNoGhostHistory) {
-  // A readahead-staged page evicted before any demand reference has no
+  // A prefetch-staged page evicted before any demand reference has no
   // reuse history: when demand finally arrives it must enter the
   // probationary queue (no ghost-hit shortcut into Am), while a page with
   // a real demand reference before its eviction does earn the promotion.
+  // Every demand miss below is followed by a two-page readahead, staged
+  // through Prefetch.
   BufferOptions opts;
   opts.capacity_pages = 4;  // A1in target = 1
   opts.policy = EvictionPolicy::kTwoQueue;
-  opts.readahead_pages = 2;
   auto pager = MakePager(/*pages=*/16, opts);
 
-  ASSERT_TRUE(pager->Fetch(0).ok());  // demand 0; stages 1 and 2
-  // Fill the pool; readahead churn FIFO-evicts pages 0..2.  Page 0 had a
-  // demand reference, pages 1 and 2 were prefetched-only.
+  ASSERT_TRUE(pager->Fetch(0).ok());  // demand 0
+  pager->Prefetch(std::vector<PageId>{1, 2});
+  // Fill the pool; readahead churn FIFO-evicts pages 0 and 1.  Page 0 had
+  // a demand reference, page 1 was prefetched-only.
   ASSERT_TRUE(pager->Fetch(6).ok());
+  pager->Prefetch(std::vector<PageId>{7, 8});
   EXPECT_FALSE(pager->buffer_pool().Resident(1));
   // First demand access of the evicted prefetched page: probationary.
   ASSERT_TRUE(pager->Fetch(1).ok());
+  pager->Prefetch(std::vector<PageId>{2, 3});
   // Demand re-load of the demand-referenced page: ghost hit, protected.
   ASSERT_TRUE(pager->Fetch(0).ok());
+  pager->Prefetch(std::vector<PageId>{1, 2});  // both resident: no-op
   // A single-touch scan washes page 1 out of the FIFO but leaves page 0.
   ASSERT_TRUE(pager->Fetch(10).ok());
+  pager->Prefetch(std::vector<PageId>{11, 12});
   EXPECT_FALSE(pager->buffer_pool().Resident(1));
   EXPECT_TRUE(pager->buffer_pool().Resident(0));
+  EXPECT_EQ(pager->faults(), 5u);  // staging never faults
 }
 
 TEST(BufferPoolTest, ConfigureDropsContentsAndGhostHistory) {

@@ -35,13 +35,6 @@ double ConsumedStatusOr(conn::storage::Pager& pager) {
   return static_cast<double>(view.value().id());
 }
 
-double ConsumedPageRequest(conn::storage::Pager& pager) {
-  conn::storage::PageRequest req = pager.FetchAsync(0);
-  conn::StatusOr<conn::storage::PinnedPage> view = req.Wait();
-  if (!view.ok()) return -1.0;
-  return static_cast<double>(view.value().id());
-}
-
 }  // namespace
 
 int main() {
@@ -53,6 +46,5 @@ int main() {
   // part of the control: they must stay warning-free).
   (void)ConsumedStatus(file);
   (void)ConsumedStatusOr(pager);
-  (void)ConsumedPageRequest(pager);
   return 0;
 }

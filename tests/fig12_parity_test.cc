@@ -1,4 +1,4 @@
-// Fault parity guard for the async-pipeline refactor: with async_io off
+// Fault parity guard for the reference fetch path: with stage_hints off
 // the miss path must be byte-for-byte the pre-refactor synchronous code,
 // so replaying the Fig. 12 benchmark recipe (bench/fig12_buffer.cc at the
 // smoke scale its committed baseline was recorded under) must reproduce
@@ -63,7 +63,7 @@ TEST(Fig12Parity, SyncPathReproducesCommittedExactLruFaults) {
       opts.capacity_pages = static_cast<size_t>(
           tree->PageCount() * point.buffer_percent / 100.0);
       opts.policy = storage::EvictionPolicy::kExactLru;
-      opts.async_io = false;  // the reference path under test
+      opts.stage_hints = false;  // the reference path under test
       tree->pager().ConfigureBuffer(opts);
       tree->pager().ResetCounters();
     }

@@ -2,6 +2,8 @@
 // preset (label "exec") alongside the batch-executor suite: many threads
 // fetch, pin, read, and release pages of one shared Pager while eviction
 // churns, which is exactly what BatchRunner's workers do to a tree's pool.
+// The staging variants mix Pager::Prefetch into the same traffic, as the
+// traversals do with BufferOptions::stage_hints on.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +25,7 @@ namespace conn {
 namespace storage {
 namespace {
 
-void RunChurn(EvictionPolicy policy, bool async_io = false,
+void RunChurn(EvictionPolicy policy, bool stage = false,
               size_t capacity_pages = kFramesPerShard / kA1inTargetDivisor,
               size_t pages = 64) {
   const size_t kPages = pages;
@@ -40,10 +42,9 @@ void RunChurn(EvictionPolicy policy, bool async_io = false,
   // (pool_tuning.h): a single-shard pool far below the working set, so
   // eviction churns constantly and stays churning if the shard sizing
   // ever changes.  The fan-out variant below overrides it to span many
-  // shards of the lifted kMaxShards cap.
+  // latch shards.
   opts.capacity_pages = capacity_pages;
   opts.policy = policy;
-  opts.async_io = async_io;
   pager.ConfigureBuffer(opts);
   pager.ResetCounters();
 
@@ -58,6 +59,13 @@ void RunChurn(EvictionPolicy policy, bool async_io = false,
         const PageId id = rng.Bernoulli(0.5)
                               ? static_cast<PageId>(rng.UniformU64(8))
                               : static_cast<PageId>(rng.UniformU64(kPages));
+        // Staging racing the demand traffic: readahead of the next pages
+        // (possibly resident, possibly being fetched by another thread).
+        if (stage && rng.Bernoulli(0.3)) {
+          pager.Prefetch(std::vector<PageId>{
+              static_cast<PageId>((id + 1) % kPages),
+              static_cast<PageId>((id + 2) % kPages)});
+        }
         StatusOr<PinnedPage> view = pager.Fetch(id);
         if (!view.ok() || !PageMatchesStamp(view.value().page(), id)) {
           corrupt.fetch_add(1, std::memory_order_relaxed);
@@ -89,8 +97,15 @@ void RunChurn(EvictionPolicy policy, bool async_io = false,
 
   EXPECT_EQ(corrupt.load(), 0u);
   EXPECT_EQ(pager.buffer_pool().PinnedFrames(), 0u);  // no leaked pins
-  // Every fetch resolved to exactly one hit or one fault.
+  // Every demand fetch resolved to exactly one hit or one fault; staging
+  // is neither.
   EXPECT_EQ(pager.faults() + pager.hits(), kThreads * kOpsPerThread);
+  // Each staged frame ends as at most one prefetch hit or one waste.
+  EXPECT_LE(pager.prefetch_hits() + pager.prefetch_wasted(),
+            pager.prefetch_issued());
+  if (stage) {
+    EXPECT_GT(pager.prefetch_issued(), 0u);
+  }
 }
 
 TEST(StorageRaceTest, ConcurrentFetchPinUnpinChurnTwoQueue) {
@@ -101,22 +116,23 @@ TEST(StorageRaceTest, ConcurrentFetchPinUnpinChurnExactLru) {
   RunChurn(EvictionPolicy::kExactLru);
 }
 
-// Same churn with every miss routed through the async pipeline's demand
-// class: fetching threads now rendezvous with the I/O workers, and the
-// one-hit-or-one-fault accounting invariant must survive the handoff.
+// Same churn with threads mixing Prefetch into their demand fetches:
+// staging inserts race demand misses and evictions on one pool, and the
+// one-hit-or-one-fault accounting invariant must survive it.  (The suite
+// names date from the worker-thread staging pipeline.)
 TEST(StorageRaceTest, ConcurrentChurnAsyncPipelineTwoQueue) {
-  RunChurn(EvictionPolicy::kTwoQueue, /*async_io=*/true);
+  RunChurn(EvictionPolicy::kTwoQueue, /*stage=*/true);
 }
 
 TEST(StorageRaceTest, ConcurrentChurnAsyncPipelineExactLru) {
-  RunChurn(EvictionPolicy::kExactLru, /*async_io=*/true);
+  RunChurn(EvictionPolicy::kExactLru, /*stage=*/true);
 }
 
-// Churn across a pool spanning many latch shards of the lifted kMaxShards
-// cap (pool_tuning.h), async pipeline on: evictions, staging inserts, and
-// pin traffic spread over the full fan-out instead of one latch.
+// Churn across a pool spanning many latch shards (pool_tuning.h), staging
+// on: evictions, staging inserts, and pin traffic spread over the full
+// fan-out instead of one latch.
 TEST(StorageRaceTest, ConcurrentChurnAcrossLiftedShardFanout) {
-  RunChurn(EvictionPolicy::kTwoQueue, /*async_io=*/true,
+  RunChurn(EvictionPolicy::kTwoQueue, /*stage=*/true,
            /*capacity_pages=*/8 * kFramesPerShard, /*pages=*/1024);
 }
 
@@ -211,6 +227,54 @@ TEST(StorageRaceTest, ConcurrentColdMissChargesOneFault) {
   EXPECT_EQ(corrupt.load(), 0u);
   EXPECT_EQ(pager.faults(), kRounds);
   EXPECT_EQ(pager.hits(), kRounds * (kThreads - 1));
+}
+
+// A Prefetch racing cold demand misses of the same page: per round exactly
+// one of them stages the page.  If a fetch wins, it charges the round's one
+// fault and the Prefetch stages nothing; if the Prefetch wins, it counts
+// one prefetch_issued and every fetch is a hit.  A Prefetch that lost the
+// race (kReused) must neither fault nor count as issued.
+TEST(StorageRaceTest, PrefetchRacingColdMissChargesNoFault) {
+  constexpr size_t kThreads = 4;  // thread 0 stages, the others fetch
+  constexpr uint64_t kRounds = 1000;
+
+  Pager pager;
+  const PageId id = pager.Allocate();
+  ASSERT_TRUE(pager.Write(id, StampedPage(id)).ok());
+  BufferOptions opts;
+  opts.capacity_pages = 16;
+  pager.ConfigureBuffer(opts);
+  pager.ResetCounters();
+
+  std::barrier start(kThreads);
+  std::barrier done(kThreads, [&pager]() noexcept { pager.ClearBuffer(); });
+  std::atomic<uint64_t> corrupt{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::vector<PageId> hint{id};
+      for (uint64_t round = 0; round < kRounds; ++round) {
+        start.arrive_and_wait();
+        if (t == 0) {
+          pager.Prefetch(hint);
+        } else {
+          StatusOr<PinnedPage> view = pager.Fetch(id);
+          if (!view.ok() || !PageMatchesStamp(view.value().page(), id)) {
+            corrupt.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        done.arrive_and_wait();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const uint64_t fetches = kRounds * (kThreads - 1);
+  EXPECT_EQ(corrupt.load(), 0u);
+  EXPECT_EQ(pager.faults() + pager.hits(), fetches);
+  // One staging per round, by a fetch (a fault) or by the Prefetch.
+  EXPECT_EQ(pager.faults() + pager.prefetch_issued(), kRounds);
+  EXPECT_LE(pager.prefetch_hits(), pager.prefetch_issued());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "lru_buffer.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -224,18 +226,26 @@ TEST(PagerTest, ReadaheadStagesFollowingPagesWithoutFaults) {
   for (int i = 0; i < 16; ++i) pager.Allocate();
   BufferOptions opts;
   opts.capacity_pages = 8;
-  opts.readahead_pages = 3;
   pager.ConfigureBuffer(opts);
   ASSERT_TRUE(pager.Fetch(0).ok());
-  // The demand miss faulted once but staged pages 1..3 as device reads.
+  // Readahead is Prefetch of the following ids: pages 1..3 are staged as
+  // device reads, not faults.
+  const std::vector<PageId> next{1, 2, 3};
+  pager.Prefetch(next);
   EXPECT_EQ(pager.faults(), 1u);
   EXPECT_EQ(pager.file().device_reads(), 4u);
+  EXPECT_EQ(pager.prefetch_issued(), 3u);
   for (PageId id = 1; id <= 3; ++id) ASSERT_TRUE(pager.Fetch(id).ok());
   EXPECT_EQ(pager.faults(), 1u);
   EXPECT_EQ(pager.hits(), 3u);
-  // Readahead stops at the end of the file.
+  EXPECT_EQ(pager.prefetch_hits(), 3u);
+  // Resident and out-of-range ids are skipped: no device read, no staging.
   ASSERT_TRUE(pager.Fetch(15).ok());
   EXPECT_EQ(pager.faults(), 2u);
+  const std::vector<PageId> past_end{15, 16, 17};
+  pager.Prefetch(past_end);
+  EXPECT_EQ(pager.file().device_reads(), 5u);
+  EXPECT_EQ(pager.prefetch_issued(), 3u);
 }
 
 }  // namespace

@@ -35,17 +35,6 @@ auto LambdaEscape(Pager& pager) {
   return [&view] { return view.bytes[0]; };  // conn-tidy: expect
 }
 
-const Page* CompletionPathEscape(Pager& pager) {
-  // The async pipeline's completion path is still a pin: a borrow of the
-  // Wait()-obtained PinnedPage's bytes must not outlive it either.
-  PageRequest req = pager.FetchAsync(0);
-  StatusOr<PinnedPage> got = req.Wait();
-  CONN_CHECK(got.ok());
-  const Page& view = got.value().page();
-  const Page* alias = &view;
-  return alias;  // conn-tidy: expect
-}
-
 }  // namespace
 }  // namespace storage
 }  // namespace conn

@@ -28,16 +28,6 @@ Page CopyOut(Pager& pager) {
   return got.value().page();       // by-value copy, not a borrow
 }
 
-uint8_t ReadViaCompletionPath(Pager& pager) {
-  // Pins handed over by the async pipeline follow the same rule: the
-  // borrow dies inside the pin's scope, Wait() or not.
-  PageRequest req = pager.FetchAsync(0);
-  StatusOr<PinnedPage> got = req.Wait();
-  CONN_CHECK(got.ok());
-  const Page& view = got.value().page();
-  return Consume(view);
-}
-
 }  // namespace
 }  // namespace storage
 }  // namespace conn
